@@ -70,7 +70,7 @@ let smoke_entries () =
    The churn benchmark is the event-loop microbenchmark of the regression
    gate: push/pop 4096 timestamped events through the heap. *)
 let heap_churn () =
-  let h : int Heap.t = Heap.create () in
+  let h : Heap.t = Heap.create () in
   for i = 0 to 4095 do
     Heap.push h ~time:(i * 37 mod 1009) i
   done;

@@ -20,10 +20,10 @@ val holders : t -> line:int -> int list
 (** Nodes currently holding the line, ascending. *)
 
 val closest_holder :
-  t -> line:int -> ?excluding:int -> distance:(int -> int) -> unit -> int option
-(** The holder minimizing [distance] (e.g. hops from the requester), or
-    [None] if no other L2 holds the line.  [excluding] removes the
-    requester itself from consideration (it is registered as a holder as
-    soon as its fill is in flight). *)
+  t -> line:int -> ?excluding:int -> distance:(int -> int) -> unit -> int
+(** The holder minimizing [distance] (e.g. hops from the requester; the
+    lowest node on ties), or [-1] if no other L2 holds the line.  Builds
+    no list.  [excluding] removes the requester itself from consideration
+    (it is registered as a holder as soon as its fill is in flight). *)
 
 val clear : t -> unit

@@ -51,26 +51,28 @@ let set_of c line =
   let idx = if c.hash_sets then idx lxor (idx / c.num_sets) lxor (idx / (c.num_sets * c.num_sets)) else idx in
   ((idx mod c.num_sets) + c.num_sets) mod c.num_sets
 
+(* Slot holding [line], or -1: a plain loop, so a lookup allocates no
+   option and no closure. *)
 let find c line =
-  let s = set_of c line in
-  let base = s * c.ways in
-  let rec go w =
-    if w = c.ways then None
-    else if c.tags.(base + w) = line then Some (base + w)
-    else go (w + 1)
-  in
-  go 0
+  let base = set_of c line * c.ways in
+  let slot = ref (-1) and w = ref 0 in
+  while !slot < 0 && !w < c.ways do
+    if c.tags.(base + !w) = line then slot := base + !w;
+    incr w
+  done;
+  !slot
 
 let access c ~addr ~write =
   c.tick <- c.tick + 1;
   let line = line_addr c addr in
-  match find c line with
-  | Some slot ->
+  let slot = find c line in
+  if slot >= 0 then begin
     c.hits <- c.hits + 1;
     c.last_use.(slot) <- c.tick;
     if write then c.dirty.(slot) <- true;
     Hit
-  | None ->
+  end
+  else begin
     c.misses <- c.misses + 1;
     let s = set_of c line in
     let base = s * c.ways in
@@ -91,13 +93,14 @@ let access c ~addr ~write =
     c.dirty.(v) <- write;
     c.last_use.(v) <- c.tick;
     Miss { evicted; evicted_dirty }
+  end
 
-let probe c ~addr = Option.is_some (find c (line_addr c addr))
+let probe c ~addr = find c (line_addr c addr) >= 0
 
 let invalidate c ~addr =
-  match find c (line_addr c addr) with
-  | None -> false
-  | Some slot ->
+  let slot = find c (line_addr c addr) in
+  if slot < 0 then false
+  else
     let was_dirty = c.dirty.(slot) in
     c.tags.(slot) <- -1;
     c.dirty.(slot) <- false;

@@ -10,14 +10,6 @@
     can start by the given time and reports completions; {!next_wake} says
     when issuing could next make progress. *)
 
-type completion = {
-  id : int;  (** caller's request identifier *)
-  start : int;  (** cycle the bank began the access *)
-  finish : int;  (** cycle the data burst completed *)
-  queue_delay : int;  (** start − arrival: time spent queued *)
-  row_hit : bool;
-}
-
 type t
 
 type scheduler =
@@ -54,13 +46,32 @@ val enqueue :
     queue exceeds a drain watermark — so they do not close the rows that
     pending reads are streaming from. *)
 
-val advance : t -> now:int -> completion list
+val advance : t -> now:int -> int
 (** Issues, in feasible-start order, every pending request whose start time
-    is at most [now].  Idempotent when nothing can start. *)
+    is at most [now], and returns how many it issued.  Idempotent when
+    nothing can start.  The completions are read by index [0 .. n-1] with
+    the [completion_*] accessors below; they stay readable until the next
+    [advance].  Allocates nothing once the queues have grown to the run's
+    peak depth. *)
 
-val next_wake : t -> int option
+val completion_id : t -> int -> int
+(** The caller's request identifier of the [i]-th completion. *)
+
+val completion_start : t -> int -> int
+(** Cycle the bank began the access. *)
+
+val completion_finish : t -> int -> int
+(** Cycle the data burst completed. *)
+
+val completion_queue_delay : t -> int -> int
+(** start − arrival: time spent queued. *)
+
+val completion_row_hit : t -> int -> bool
+
+val next_wake : t -> int
 (** Earliest cycle at which {!advance} would issue at least one request;
-    [None] when the queue is empty. *)
+    [max_int] when the queue is empty.  Right after an {!advance} this is
+    the wake its final sweep found, so it costs no second scan. *)
 
 val pending : t -> int
 

@@ -63,59 +63,58 @@ let take_frame t m =
     t.next_local.(m) <- i + 1;
     frame_on t m i
 
+(* the desired controller, then the others round-robin *)
 let alloc_on t ~owner m =
   let num_mcs = t.map.Dram.Address_map.num_mcs in
-  (* try the desired controller, then the others round-robin *)
-  let rec try_mc i =
-    if i = num_mcs then failwith "Page_alloc: physical memory exhausted"
-    else
-      let m' = (m + i) mod num_mcs in
-      if has_room t m' then begin
-        if i > 0 then note_fallback t owner;
-        take_frame t m'
-      end
-      else try_mc (i + 1)
-  in
-  try_mc 0
+  let i = ref 0 in
+  while !i < num_mcs && not (has_room t ((m + !i) mod num_mcs)) do
+    incr i
+  done;
+  if !i = num_mcs then failwith "Page_alloc: physical memory exhausted";
+  if !i > 0 then note_fallback t owner;
+  take_frame t ((m + !i) mod num_mcs)
 
+(* First touch of [vpage]: pick a frame under the interleaving and policy
+   and map it. *)
+let map_page t ~owner ~node vpage =
+  let f =
+    match t.map.Dram.Address_map.interleaving with
+    | Dram.Address_map.Line_interleaved ->
+      (* MC bits are inside the page offset: any frame works, but the
+         total capacity is still bounded *)
+      if t.seq_in_use >= t.frames_per_mc * t.map.Dram.Address_map.num_mcs then
+        failwith "Page_alloc: physical memory exhausted"
+      else begin
+        t.seq_in_use <- t.seq_in_use + 1;
+        match t.free_seq with
+        | f :: rest ->
+          t.free_seq <- rest;
+          f
+        | [] ->
+          let f = t.next_seq in
+          t.next_seq <- f + 1;
+          f
+      end
+    | Dram.Address_map.Page_interleaved -> (
+      match t.policy with
+      | Hardware_interleaved ->
+        alloc_on t ~owner (vpage mod t.map.Dram.Address_map.num_mcs)
+      | First_touch cluster_mc -> alloc_on t ~owner (cluster_mc node)
+      | Mc_aware { desired; fallback } ->
+        alloc_on t ~owner
+          (match desired vpage with Some m -> m | None -> fallback node))
+  in
+  Hashtbl.replace t.table vpage f;
+  f
+
+(* a mapped page costs one table lookup and no allocation *)
 let translate_owned t ~owner ~node ~vaddr =
   let page_bytes = t.map.Dram.Address_map.page_bytes in
   let vpage = vaddr / page_bytes in
   let frame =
-    match Hashtbl.find_opt t.table vpage with
-    | Some f -> f
-    | None ->
-      let f =
-        match t.map.Dram.Address_map.interleaving with
-        | Dram.Address_map.Line_interleaved ->
-          (* MC bits are inside the page offset: any frame works, but the
-             total capacity is still bounded *)
-          if
-            t.seq_in_use
-            >= t.frames_per_mc * t.map.Dram.Address_map.num_mcs
-          then failwith "Page_alloc: physical memory exhausted"
-          else begin
-            t.seq_in_use <- t.seq_in_use + 1;
-            match t.free_seq with
-            | f :: rest ->
-              t.free_seq <- rest;
-              f
-            | [] ->
-              let f = t.next_seq in
-              t.next_seq <- f + 1;
-              f
-          end
-        | Dram.Address_map.Page_interleaved -> (
-          match t.policy with
-          | Hardware_interleaved ->
-            alloc_on t ~owner (vpage mod t.map.Dram.Address_map.num_mcs)
-          | First_touch cluster_mc -> alloc_on t ~owner (cluster_mc node)
-          | Mc_aware { desired; fallback } ->
-            alloc_on t ~owner
-              (match desired vpage with Some m -> m | None -> fallback node))
-      in
-      Hashtbl.replace t.table vpage f;
-      f
+    match Hashtbl.find t.table vpage with
+    | f -> f
+    | exception Not_found -> map_page t ~owner ~node vpage
   in
   (frame * page_bytes) + (vaddr mod page_bytes)
 

@@ -57,12 +57,10 @@ type result = {
    Requests are pooled: the engine recycles them through a freelist so the
    steady state allocates no request state per miss.  Every field a
    request carries between pipeline stages is mutable and reinitialized on
-   allocation; the [a_*] fields are the request's preallocated event
-   payloads, so scheduling a pipeline stage allocates nothing either.  A
-   request has at most one event in flight at a time, and its slot is
-   freed only in [complete_request], after its last event has been
-   dispatched — which is also what keeps the tracer's span hooks safe:
-   every span of a pooled request is emitted before its slot can be
+   allocation.  A request has at most one event in flight at a time, and
+   its slot is freed only in [complete_request], after its last event has
+   been dispatched — which is also what keeps the tracer's span hooks
+   safe: every span of a pooled request is emitted before its slot can be
    recycled. *)
 type req = {
   slot : int;  (** pool index; the controller-request id while in flight *)
@@ -85,24 +83,38 @@ type req = {
   mutable resume : bool;
       (** blocking (load / full store buffer): the thread restarts on fill;
           non-blocking store fills just release a store-buffer slot *)
-  a_dir_decide : action;
-  a_owner_read : action;
-  a_home_decide : action;
-  a_home_return : action;
-  a_mc_arrive : action;
-  a_fill : action;
 }
 
-and action =
-  | Step of int * int  (** job, thread *)
-  | Dir_decide of req
-  | Owner_read of req  (** sharer node in [rowner] *)
-  | Home_decide of req
-  | Home_return of req
-  | Mc_arrive of req  (** organization in [rshared] *)
-  | Fill of req
-  | Mc_wake of int
-  | Wb_arrive of int * int  (** mc, paddr *)
+(* Events are int codes: the kind in the low [kind_bits] bits, its
+   argument above them.  The argument is the request's pool slot for the
+   request stages, the job and thread ([jid lsl thread_bits lor tid]) for
+   [ev_step], the controller for [ev_mc_wake] and the line's physical
+   address for [ev_wb_arrive] (the controller is a function of it). *)
+let kind_bits = 4
+
+let ev_step = 0
+
+let ev_dir_decide = 1
+
+let ev_owner_read = 2 (* sharer node in [rowner] *)
+
+let ev_home_decide = 3
+
+let ev_home_return = 4
+
+let ev_mc_arrive = 5 (* organization in [rshared] *)
+
+let ev_fill = 6
+
+let ev_mc_wake = 7
+
+let ev_wb_arrive = 8
+
+let event kind arg = (arg lsl kind_bits) lor kind
+
+let thread_bits = 20
+
+let step_event jid tid = event ev_step ((jid lsl thread_bits) lor tid)
 
 type jstate = {
   j : job;
@@ -124,35 +136,26 @@ type jstate = {
 let ctrl_bytes = 8
 
 let new_req slot =
-  let rec r =
-    {
-      slot;
-      rid = 0;
-      rjob = 0;
-      rthread = 0;
-      rnode = 0;
-      rpaddr = 0;
-      rwrite = false;
-      rsite = -1;
-      home = 0;
-      pend_hops = 0;
-      pend_net = 0;
-      mc = 0;
-      mc_arrival = 0;
-      rshared = false;
-      rowner = 0;
-      measured = false;
-      traced = false;
-      resume = false;
-      a_dir_decide = Dir_decide r;
-      a_owner_read = Owner_read r;
-      a_home_decide = Home_decide r;
-      a_home_return = Home_return r;
-      a_mc_arrive = Mc_arrive r;
-      a_fill = Fill r;
-    }
-  in
-  r
+  {
+    slot;
+    rid = 0;
+    rjob = 0;
+    rthread = 0;
+    rnode = 0;
+    rpaddr = 0;
+    rwrite = false;
+    rsite = -1;
+    home = 0;
+    pend_hops = 0;
+    pend_net = 0;
+    mc = 0;
+    mc_arrival = 0;
+    rshared = false;
+    rowner = 0;
+    measured = false;
+    traced = false;
+    resume = false;
+  }
 
 let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
     ?attr ~jobs () =
@@ -239,7 +242,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
   let pa =
     Page_alloc.create ~map:amap ~policy ~frames_per_mc:cfg.frames_per_mc ()
   in
-  let heap : action Event_heap.t = Event_heap.create () in
+  let heap = Event_heap.create () in
   let js =
     Array.of_list
       (List.mapi
@@ -309,16 +312,9 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
           Noc.Topology.chiplet_of_node topo (i / num_mcs)
           <> Noc.Topology.chiplet_of_node topo (mc_node (i mod num_mcs)))
   in
-  (* per-(job, thread) and per-controller event payloads, preallocated so
-     phase starts and controller wakes push shared immutable values *)
-  let step_act =
-    Array.map
-      (fun s ->
-        Array.init (Array.length s.j.node_of_thread) (fun tid ->
-            Step (s.jid, tid)))
-      js
-  in
-  let wake_act = Array.init num_mcs (fun m -> Mc_wake m) in
+  (* hop distance from each node, for the directory's closest-holder
+     search: built once so an L2 miss allocates no closure *)
+  let dist_from = Array.init nodes (fun n h -> hop_tbl.((n * nodes) + h)) in
   let line_of paddr = paddr land lnot (l2_line - 1) in
   let data_bytes = l2_line + ctrl_bytes in
   let l1_fill_bytes = cfg.l1_line + ctrl_bytes in
@@ -411,7 +407,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
   let schedule_mc_wake m tw =
     if tw < mc_next_wake.(m) then begin
       mc_next_wake.(m) <- tw;
-      Event_heap.push heap ~time:tw wake_act.(m)
+      Event_heap.push heap ~time:tw (event ev_mc_wake m)
     end
   in
   let enqueue_mc ~now ~m ~id ?(write = false) paddr =
@@ -425,7 +421,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
       Stats.record_writeback stats;
       let m = Address_map.mc_of_paddr amap paddr in
       let arr = send ~now ~src ~dst:(mc_node m) ~bytes:data_bytes in
-      Event_heap.push heap ~time:arr (Wb_arrive (m, paddr))
+      Event_heap.push heap ~time:arr (event ev_wb_arrive paddr)
     end
   in
   (* ---- job lifecycle ---- *)
@@ -443,7 +439,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
       s.cur_sites <- (if Array.length s.jsites > 0 then s.jsites.(0) else [||]);
       s.remaining <- Array.length s.j.node_of_thread;
       for tid = 0 to Array.length s.j.node_of_thread - 1 do
-        Event_heap.push heap ~time:at step_act.(s.jid).(tid)
+        Event_heap.push heap ~time:at (step_event s.jid tid)
       done
     end
   and complete_job s at =
@@ -463,57 +459,55 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
   (* ---- thread execution ---- *)
   let rec continue_thread jid tid t =
     let s = js.(jid) in
-    let stream = s.streams.(tid) in
-    let n = Array.length stream in
-    let measured = s.phase >= s.j.warmup_phases in
-    let rec go t =
-      let i = s.pos.(tid) in
-      if i >= n then finish_thread s tid t
-      else begin
-        s.pos.(tid) <- i + 1;
-        let a = stream.(i) in
-        let vaddr = Lang.Interp.addr_of_access a
-        and wr = Lang.Interp.is_write a in
-        let node = s.j.node_of_thread.(tid) in
-        let paddr = Page_alloc.translate_owned pa ~owner:jid ~node ~vaddr in
-        if measured then Stats.record_access stats;
-        let t = t + issue_cost + jitter jid tid in
-        match Sacache.access l1.(node) ~addr:paddr ~write:wr with
-        | Sacache.Hit ->
-          if measured then Stats.record_l1_hit stats;
-          go (t + cfg.l1_latency)
-        | Sacache.Miss _ ->
-          (* L1 fills at detection; L1 writebacks are not modeled *)
-          let rid = !miss_counter in
-          incr miss_counter;
-          let traced = Obs.Trace.hit trace rid in
-          if traced then
-            Obs.Trace.span trace ~cat:"cache" ~name:"L1 miss" ~pid:jid
-              ~tid:node ~ts:t ~dur:cfg.l1_latency ();
-          (* the side-band site stream is index-parallel to the access
-             stream; untagged jobs carry none and pay one length check *)
-          let site =
-            if Array.length s.cur_sites = 0 then -1 else s.cur_sites.(tid).(i)
-          in
-          let blocking =
-            (not wr) || outstanding_stores.(jid).(tid) >= store_buffer_depth
-          in
-          if blocking then
-            miss_path jid tid node paddr wr ~rid ~site ~traced ~measured
-              ~resume:true
-              (t + cfg.l1_latency)
-          else begin
-            (* store buffer absorbs the write miss; the fill proceeds in
-               the background and the thread continues *)
-            outstanding_stores.(jid).(tid) <- outstanding_stores.(jid).(tid) + 1;
-            miss_path jid tid node paddr wr ~rid ~site ~traced ~measured
-              ~resume:false
-              (t + cfg.l1_latency);
-            go (t + cfg.l1_latency)
-          end
-      end
-    in
-    go t
+    issue_accesses s jid tid s.streams.(tid) (s.phase >= s.j.warmup_phases) t
+  (* a member of the recursive group rather than a local loop, so resuming
+     a thread allocates no closure *)
+  and issue_accesses s jid tid stream measured t =
+    let i = s.pos.(tid) in
+    if i >= Array.length stream then finish_thread s tid t
+    else begin
+      s.pos.(tid) <- i + 1;
+      let a = stream.(i) in
+      let vaddr = Lang.Interp.addr_of_access a
+      and wr = Lang.Interp.is_write a in
+      let node = s.j.node_of_thread.(tid) in
+      let paddr = Page_alloc.translate_owned pa ~owner:jid ~node ~vaddr in
+      if measured then Stats.record_access stats;
+      let t = t + issue_cost + jitter jid tid in
+      match Sacache.access l1.(node) ~addr:paddr ~write:wr with
+      | Sacache.Hit ->
+        if measured then Stats.record_l1_hit stats;
+        issue_accesses s jid tid stream measured (t + cfg.l1_latency)
+      | Sacache.Miss _ ->
+        (* L1 fills at detection; L1 writebacks are not modeled *)
+        let rid = !miss_counter in
+        incr miss_counter;
+        let traced = Obs.Trace.hit trace rid in
+        if traced then
+          Obs.Trace.span trace ~cat:"cache" ~name:"L1 miss" ~pid:jid
+            ~tid:node ~ts:t ~dur:cfg.l1_latency ();
+        (* the side-band site stream is index-parallel to the access
+           stream; untagged jobs carry none and pay one length check *)
+        let site =
+          if Array.length s.cur_sites = 0 then -1 else s.cur_sites.(tid).(i)
+        in
+        let blocking =
+          (not wr) || outstanding_stores.(jid).(tid) >= store_buffer_depth
+        in
+        if blocking then
+          miss_path jid tid node paddr wr ~rid ~site ~traced ~measured
+            ~resume:true
+            (t + cfg.l1_latency)
+        else begin
+          (* store buffer absorbs the write miss; the fill proceeds in
+             the background and the thread continues *)
+          outstanding_stores.(jid).(tid) <- outstanding_stores.(jid).(tid) + 1;
+          miss_path jid tid node paddr wr ~rid ~site ~traced ~measured
+            ~resume:false
+            (t + cfg.l1_latency);
+          issue_accesses s jid tid stream measured (t + cfg.l1_latency)
+        end
+    end
   and finish_thread s _tid t =
     s.remaining <- s.remaining - 1;
     s.barrier <- max s.barrier t;
@@ -528,7 +522,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
         Array.fill s.pos 0 (Array.length s.pos) 0;
         s.remaining <- Array.length s.j.node_of_thread;
         for tid = 0 to Array.length s.j.node_of_thread - 1 do
-          Event_heap.push heap ~time:s.barrier step_act.(s.jid).(tid)
+          Event_heap.push heap ~time:s.barrier (step_event s.jid tid)
         done
       end
       else complete_job s s.barrier
@@ -583,8 +577,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
       | None -> ());
       let holder =
         Directory.closest_holder dir ~line ~excluding:node
-          ~distance:(fun h -> Noc.Topology.distance topo node h)
-          ()
+          ~distance:dist_from.(node) ()
       in
       Directory.add_holder dir ~line ~node;
       let req = alloc_req () in
@@ -593,22 +586,23 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
       if cfg.optimal then begin
         (* oracle lookup at miss time: sharers keep the normal on-chip
            path; off-chip goes straight to the nearest controller *)
-        match holder with
-        | Some _ ->
+        if holder >= 0 then begin
           let m = Address_map.mc_of_paddr amap paddr in
           let dst = mc_node m in
           let arr = send_req req ~now:t ~src:node ~dst ~bytes:ctrl_bytes in
           req.pend_hops <- hops_between node dst;
           req.pend_net <- arr - t;
-          Event_heap.push heap ~time:arr req.a_dir_decide
-        | None ->
+          Event_heap.push heap ~time:arr (event ev_dir_decide req.slot)
+        end
+        else begin
           let m = nearest_mc node in
           req.mc <- m;
           let dst = mc_node m in
           let arr = send_req req ~now:t ~src:node ~dst ~bytes:ctrl_bytes in
           log_leg ~measured:req.measured ~offchip:true (hops_between node dst)
             (arr - t);
-          Event_heap.push heap ~time:arr req.a_mc_arrive
+          Event_heap.push heap ~time:arr (event ev_mc_arrive req.slot)
+        end
       end
       else begin
         let m = Address_map.mc_of_paddr amap paddr in
@@ -617,7 +611,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
         let arr = send_req req ~now:t ~src:node ~dst ~bytes:ctrl_bytes in
         req.pend_hops <- hops_between node dst;
         req.pend_net <- arr - t;
-        Event_heap.push heap ~time:arr req.a_dir_decide
+        Event_heap.push heap ~time:arr (event ev_dir_decide req.slot)
       end
   and miss_shared jid tid node paddr wr ~rid ~site ~traced ~measured ~resume t
       =
@@ -630,7 +624,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
       let arr = send_req req ~now:t ~src:node ~dst:home ~bytes:ctrl_bytes in
       log_leg ~measured:req.measured ~offchip:false (hops_between node home)
         (arr - t);
-      Event_heap.push heap ~time:arr req.a_home_decide
+      Event_heap.push heap ~time:arr (event ev_home_decide req.slot)
     end
   and home_decide req t =
     span_req req ~cat:"cache" ~name:"L2 home" ~ts:t ~dur:cfg.l2_latency;
@@ -659,7 +653,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
       let arr = send_req req ~now:t ~src:req.home ~dst ~bytes:ctrl_bytes in
       log_leg ~measured:req.measured ~offchip:true (hops_between req.home dst)
         (arr - t);
-      Event_heap.push heap ~time:arr req.a_mc_arrive
+      Event_heap.push heap ~time:arr (event ev_mc_arrive req.slot)
   and send_home_to_requester req t =
     if req.home = req.rnode then complete_request req t
     else begin
@@ -669,7 +663,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
       log_leg ~measured:req.measured ~offchip:false
         (hops_between req.home req.rnode)
         (arr - t);
-      Event_heap.push heap ~time:arr req.a_fill
+      Event_heap.push heap ~time:arr (event ev_fill req.slot)
     end
   and mc_arrive req t =
     if req.measured then begin
@@ -711,103 +705,110 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
     let arr = send_req req ~now:t ~src ~dst ~bytes:data_bytes in
     log_leg ~measured:req.measured ~offchip:true (hops_between src dst)
       (arr - t);
-    if req.rshared then Event_heap.push heap ~time:arr req.a_home_return
-    else Event_heap.push heap ~time:arr req.a_fill
-  in
-  let dispatch t = function
-    | Step (jid, tid) -> continue_thread jid tid t
-    | Dir_decide req -> (
-      span_req req ~cat:"cache" ~name:"directory" ~ts:t
-        ~dur:cfg.directory_latency;
-      let t = t + cfg.directory_latency in
-      let line = line_of req.rpaddr in
-      let holder =
-        Directory.closest_holder dir ~line ~excluding:req.rnode
-          ~distance:(fun h -> Noc.Topology.distance topo req.rnode h)
-          ()
-      in
-      match holder with
-      | Some h ->
-        (* on-chip: the pending request leg was on-chip after all *)
-        log_leg ~measured:req.measured ~offchip:false req.pend_hops
-          req.pend_net;
-        if req.measured then Stats.record_l2_hit stats;
-        (* a write transfer invalidates every other copy (coherence
-           traffic, charged on the links but not waited for) *)
-        if req.rwrite then
-          List.iter
-            (fun holder ->
-              if holder <> req.rnode && holder <> h then begin
-                Directory.remove_holder dir ~line ~node:holder;
-                ignore (Sacache.invalidate l2.(holder) ~addr:req.rpaddr);
-                ignore
-                  (send ~now:t ~src:(mc_node req.mc) ~dst:holder
-                     ~bytes:ctrl_bytes)
-              end)
-            (Directory.holders dir ~line);
-        let src = mc_node req.mc in
-        let arr = send_req req ~now:t ~src ~dst:h ~bytes:ctrl_bytes in
-        log_leg ~measured:req.measured ~offchip:false (hops_between src h)
-          (arr - t);
-        req.rowner <- h;
-        Event_heap.push heap ~time:arr req.a_owner_read
-      | None ->
-        log_leg ~measured:req.measured ~offchip:true req.pend_hops
-          req.pend_net;
-        if cfg.optimal then begin
-          req.mc <- nearest_mc req.rnode;
-          mc_arrive req t
-        end
-        else mc_arrive req t)
-    | Owner_read req ->
-      let h = req.rowner in
-      span_req req ~cat:"cache" ~name:"L2 peer" ~ts:t ~dur:cfg.l2_latency;
-      let t = t + cfg.l2_latency in
-      (* the line is in h's L2 (kept in sync via the directory); a write
-         transfer takes it exclusively *)
-      if req.rwrite then begin
-        Directory.remove_holder dir ~line:(line_of req.rpaddr) ~node:h;
-        ignore (Sacache.invalidate l2.(h) ~addr:req.rpaddr)
-      end
-      else ignore (Sacache.access l2.(h) ~addr:req.rpaddr ~write:false);
-      let arr = send_req req ~now:t ~src:h ~dst:req.rnode ~bytes:data_bytes in
-      log_leg ~measured:req.measured ~offchip:false (hops_between h req.rnode)
-        (arr - t);
-      Event_heap.push heap ~time:arr req.a_fill
-    | Home_decide req -> home_decide req t
-    | Home_return req -> send_home_to_requester req t
-    | Mc_arrive req -> mc_arrive req t
-    | Fill req -> complete_request req t
-    | Mc_wake m ->
-      (* stale wakes (superseded by an earlier reschedule) are dropped,
-         otherwise every stale pop would spawn a fresh wake and the event
-         population would snowball *)
-      if t = mc_next_wake.(m) then begin
-        mc_next_wake.(m) <- max_int;
-        let completions = Fr_fcfs.advance mcs.(m) ~now:t in
+    Event_heap.push heap ~time:arr
+      (event (if req.rshared then ev_home_return else ev_fill) req.slot)
+  and dir_decide req t =
+    span_req req ~cat:"cache" ~name:"directory" ~ts:t
+      ~dur:cfg.directory_latency;
+    let t = t + cfg.directory_latency in
+    let line = line_of req.rpaddr in
+    let h =
+      Directory.closest_holder dir ~line ~excluding:req.rnode
+        ~distance:dist_from.(req.rnode) ()
+    in
+    if h >= 0 then begin
+      (* on-chip: the pending request leg was on-chip after all *)
+      log_leg ~measured:req.measured ~offchip:false req.pend_hops req.pend_net;
+      if req.measured then Stats.record_l2_hit stats;
+      (* a write transfer invalidates every other copy (coherence
+         traffic, charged on the links but not waited for) *)
+      if req.rwrite then
         List.iter
-          (fun (c : Fr_fcfs.completion) ->
-            if c.id <> wb_id then begin
-              let req = !pool.(c.id) in
-              Stats.record_memory stats
-                ~latency:(c.finish - req.mc_arrival)
-                ~queue:c.queue_delay ~row_hit:c.row_hit;
-              (match attr with
-              | Some a when req.measured ->
-                Obs.Attr.record_queue a ~site:req.rsite ~queue:c.queue_delay
-              | _ -> ());
-              span_req req ~cat:"mc-queue" ~name:"queue" ~ts:req.mc_arrival
-                ~dur:c.queue_delay;
-              span_req req ~cat:"dram" ~name:"bank" ~ts:c.start
-                ~dur:(c.finish - c.start);
-              mc_respond req c.finish
+          (fun holder ->
+            if holder <> req.rnode && holder <> h then begin
+              Directory.remove_holder dir ~line ~node:holder;
+              ignore (Sacache.invalidate l2.(holder) ~addr:req.rpaddr);
+              ignore
+                (send ~now:t ~src:(mc_node req.mc) ~dst:holder
+                   ~bytes:ctrl_bytes)
             end)
-          completions;
-        match Fr_fcfs.next_wake mcs.(m) with
-        | Some tw -> schedule_mc_wake m (max tw (t + 1))
-        | None -> ()
-      end
-    | Wb_arrive (m, paddr) -> enqueue_mc ~now:t ~m ~id:wb_id ~write:true paddr
+          (Directory.holders dir ~line);
+      let src = mc_node req.mc in
+      let arr = send_req req ~now:t ~src ~dst:h ~bytes:ctrl_bytes in
+      log_leg ~measured:req.measured ~offchip:false (hops_between src h)
+        (arr - t);
+      req.rowner <- h;
+      Event_heap.push heap ~time:arr (event ev_owner_read req.slot)
+    end
+    else begin
+      log_leg ~measured:req.measured ~offchip:true req.pend_hops req.pend_net;
+      if cfg.optimal then req.mc <- nearest_mc req.rnode;
+      mc_arrive req t
+    end
+  and owner_read req t =
+    let h = req.rowner in
+    span_req req ~cat:"cache" ~name:"L2 peer" ~ts:t ~dur:cfg.l2_latency;
+    let t = t + cfg.l2_latency in
+    (* the line is in h's L2 (kept in sync via the directory); a write
+       transfer takes it exclusively *)
+    if req.rwrite then begin
+      Directory.remove_holder dir ~line:(line_of req.rpaddr) ~node:h;
+      ignore (Sacache.invalidate l2.(h) ~addr:req.rpaddr)
+    end
+    else ignore (Sacache.access l2.(h) ~addr:req.rpaddr ~write:false);
+    let arr = send_req req ~now:t ~src:h ~dst:req.rnode ~bytes:data_bytes in
+    log_leg ~measured:req.measured ~offchip:false (hops_between h req.rnode)
+      (arr - t);
+    Event_heap.push heap ~time:arr (event ev_fill req.slot)
+  and mc_wake m t =
+    (* stale wakes (superseded by an earlier reschedule) are dropped,
+       otherwise every stale pop would spawn a fresh wake and the event
+       population would snowball *)
+    if t = mc_next_wake.(m) then begin
+      mc_next_wake.(m) <- max_int;
+      let c = mcs.(m) in
+      for i = 0 to Fr_fcfs.advance c ~now:t - 1 do
+        let id = Fr_fcfs.completion_id c i in
+        if id <> wb_id then begin
+          let req = !pool.(id) in
+          let start = Fr_fcfs.completion_start c i
+          and finish = Fr_fcfs.completion_finish c i
+          and queue = Fr_fcfs.completion_queue_delay c i in
+          Stats.record_memory stats ~latency:(finish - req.mc_arrival) ~queue
+            ~row_hit:(Fr_fcfs.completion_row_hit c i);
+          (match attr with
+          | Some a when req.measured ->
+            Obs.Attr.record_queue a ~site:req.rsite ~queue
+          | _ -> ());
+          span_req req ~cat:"mc-queue" ~name:"queue" ~ts:req.mc_arrival
+            ~dur:queue;
+          span_req req ~cat:"dram" ~name:"bank" ~ts:start ~dur:(finish - start);
+          mc_respond req finish
+        end
+      done;
+      let tw = Fr_fcfs.next_wake c in
+      if tw <> max_int then schedule_mc_wake m (Int.max tw (t + 1))
+    end
+  in
+  let dispatch t code =
+    let kind = code land ((1 lsl kind_bits) - 1) and arg = code lsr kind_bits in
+    if kind = ev_step then
+      continue_thread (arg lsr thread_bits)
+        (arg land ((1 lsl thread_bits) - 1))
+        t
+    else if kind = ev_mc_wake then mc_wake arg t
+    else if kind = ev_wb_arrive then
+      enqueue_mc ~now:t ~m:(Address_map.mc_of_paddr amap arg) ~id:wb_id
+        ~write:true arg
+    else begin
+      let req = !pool.(arg) in
+      if kind = ev_dir_decide then dir_decide req t
+      else if kind = ev_owner_read then owner_read req t
+      else if kind = ev_home_decide then home_decide req t
+      else if kind = ev_home_return then send_home_to_requester req t
+      else if kind = ev_mc_arrive then mc_arrive req t
+      else complete_request req t
+    end
   in
   (* ---- start all unchained jobs (chained ones start on completion of
      their predecessor) ---- *)
@@ -817,25 +818,10 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
     | None -> false
   in
   Array.iter (fun s -> if not (chained s) then start_job s s.j.start_time) js;
-  let debug = Sys.getenv_opt "OFFCHIP_DEBUG" <> None in
-  let ndisp = ref 0 in
-  let rec loop () =
-    if not (Event_heap.is_empty heap) then begin
-      let t = Event_heap.next_time heap in
-      let action = Event_heap.pop_payload heap in
-      incr ndisp;
-      if debug && !ndisp mod 1_000_000 = 0 then
-        Printf.eprintf "[dispatch %dM] t=%d heap=%d acc=%d off=%d pending=%s\n%!"
-          (!ndisp / 1_000_000) t (Event_heap.size heap)
-          (Stats.total_accesses stats) (Stats.offchip_accesses stats)
-          (String.concat ","
-             (Array.to_list
-                (Array.map (fun m -> string_of_int (Fr_fcfs.pending m)) mcs)));
-      dispatch t action;
-      loop ()
-    end
-  in
-  loop ();
+  while not (Event_heap.is_empty heap) do
+    let t = Event_heap.next_time heap in
+    dispatch t (Event_heap.pop_payload heap)
+  done;
   Stats.set_page_fallbacks stats (Page_alloc.fallback_allocations pa);
   let job_measured =
     Array.map (fun s -> max 0 (job_finish.(s.jid) - s.warmup_end)) js

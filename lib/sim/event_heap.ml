@@ -1,18 +1,13 @@
-(* Binary min-heap on parallel arrays: the (time, seq) keys live in two
-   unboxed int arrays with the payloads alongside, so pushing an event
-   allocates nothing once the arrays have grown to the run's peak
-   population (the previous representation boxed a 3-field entry record
-   per push).  Sifting moves a hole instead of swapping, halving the
-   array writes on the hot path.
+(* Binary min-heap on parallel int arrays: (time, seq) keys and int
+   payloads, so pushing an event allocates nothing once the arrays have
+   grown to the run's peak population, and no store pays the write
+   barrier a polymorphic payload array would.  Sifting moves a hole
+   instead of swapping, halving the array writes on the hot path. *)
 
-   Popped payload slots keep their last reference until overwritten by a
-   later push; the engine's payloads are preallocated pooled values, so
-   nothing is retained beyond the pool itself. *)
-
-type 'a t = {
+type t = {
   mutable times : int array;
   mutable seqs : int array;
-  mutable payloads : 'a array;
+  mutable payloads : int array;
   mutable len : int;
   mutable next_seq : int;
 }
@@ -20,11 +15,11 @@ type 'a t = {
 let create () =
   { times = [||]; seqs = [||]; payloads = [||]; len = 0; next_seq = 0 }
 
-let grow h payload =
+let grow h =
   let cap = max 64 (2 * h.len) in
   let times = Array.make cap 0 in
   let seqs = Array.make cap 0 in
-  let payloads = Array.make cap payload in
+  let payloads = Array.make cap 0 in
   Array.blit h.times 0 times 0 h.len;
   Array.blit h.seqs 0 seqs 0 h.len;
   Array.blit h.payloads 0 payloads 0 h.len;
@@ -35,7 +30,7 @@ let grow h payload =
 let push h ~time payload =
   let seq = h.next_seq in
   h.next_seq <- seq + 1;
-  if h.len = Array.length h.times then grow h payload;
+  if h.len = Array.length h.times then grow h;
   (* sift the hole up from the end *)
   let i = ref h.len in
   h.len <- h.len + 1;

@@ -1,28 +1,28 @@
 (** Binary min-heap of timestamped events.
 
     Ties are broken by insertion order, which keeps runs deterministic.
-    The keys are int-packed into unboxed parallel arrays with a payload
-    array alongside, so steady-state pushes and the
-    {!next_time}/{!pop_payload} pair allocate nothing. *)
+    Payloads are ints (the engine encodes each event as an int code).
+    Keys and payloads live in unboxed parallel arrays, so steady-state
+    pushes and the {!next_time}/{!pop_payload} pair allocate nothing. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val push : 'a t -> time:int -> 'a -> unit
+val push : t -> time:int -> int -> unit
 
-val pop : 'a t -> (int * 'a) option
+val pop : t -> (int * int) option
 (** The earliest event, or [None] when empty. *)
 
-val next_time : 'a t -> int
+val next_time : t -> int
 (** Timestamp of the earliest event without removing it.
     @raise Invalid_argument when the heap is empty. *)
 
-val pop_payload : 'a t -> 'a
+val pop_payload : t -> int
 (** Removes and returns the earliest event's payload (allocation-free
     counterpart of {!pop}; read {!next_time} first for the timestamp).
     @raise Invalid_argument when the heap is empty. *)
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val size : 'a t -> int
+val size : t -> int

@@ -97,6 +97,111 @@ let prop_lru_working_set =
       List.iter (fun a -> ignore (Sacache.access c ~addr:a ~write:false)) addrs;
       List.for_all (fun a -> is_hit (Sacache.access c ~addr:a ~write:false)) addrs)
 
+(* Reference model: each set a list of (line, dirty), most recently used
+   first, holding at most [ways] lines; a fill into a full set evicts the
+   list's last line.  The set index repeats Sacache's (optionally
+   XOR-folded) mapping. *)
+type model = {
+  m_line : int;
+  m_sets : int;
+  m_ways : int;
+  m_hash : bool;
+  m_set : (int * bool) list array;
+}
+
+let model ~hash ~line ~ways ~sets =
+  {
+    m_line = line;
+    m_sets = sets;
+    m_ways = ways;
+    m_hash = hash;
+    m_set = Array.make sets [];
+  }
+
+let model_set m line =
+  let idx = line / m.m_line in
+  let idx =
+    if m.m_hash then
+      idx lxor (idx / m.m_sets) lxor (idx / (m.m_sets * m.m_sets))
+    else idx
+  in
+  idx mod m.m_sets
+
+let model_line m addr = addr / m.m_line * m.m_line
+
+let model_access m ~addr ~write =
+  let line = model_line m addr in
+  let s = model_set m line in
+  let lines = m.m_set.(s) in
+  match List.assoc_opt line lines with
+  | Some dirty ->
+    m.m_set.(s) <- (line, dirty || write) :: List.remove_assoc line lines;
+    Sacache.Hit
+  | None ->
+    let kept, evicted =
+      if List.length lines < m.m_ways then (lines, None)
+      else
+        let rev = List.rev lines in
+        (List.rev (List.tl rev), Some (List.hd rev))
+    in
+    m.m_set.(s) <- (line, write) :: kept;
+    Sacache.Miss
+      {
+        evicted = Option.map fst evicted;
+        evicted_dirty = (match evicted with Some (_, d) -> d | None -> false);
+      }
+
+let model_probe m ~addr =
+  let line = model_line m addr in
+  List.mem_assoc line m.m_set.(model_set m line)
+
+let model_invalidate m ~addr =
+  let line = model_line m addr in
+  let s = model_set m line in
+  match List.assoc_opt line m.m_set.(s) with
+  | None -> false
+  | Some dirty ->
+    m.m_set.(s) <- List.remove_assoc line m.m_set.(s);
+    dirty
+
+type cache_op = Access of int * bool | Probe of int | Invalidate of int
+
+let prop_sacache_matches_model =
+  QCheck.Test.make ~name:"access/probe/invalidate match a list-LRU model" ~count:300
+    (QCheck.make
+       ~print:(fun ((line, ways, sets, hash), ops) ->
+         Printf.sprintf "line=%d ways=%d sets=%d hash=%b ops=%d" line ways sets hash
+           (List.length ops))
+       QCheck.Gen.(
+         let* geometry =
+           quad (oneofl [ 32; 64 ]) (int_range 1 4) (oneofl [ 1; 2; 4; 8 ]) bool
+         in
+         let line, ways, sets, _ = geometry in
+         (* addresses over 4x the capacity, so sets conflict and evict *)
+         let addr = int_range 0 ((4 * line * ways * sets) - 1) in
+         let op =
+           frequency
+             [
+               (6, map2 (fun a w -> Access (a, w)) addr bool);
+               (1, map (fun a -> Probe a) addr);
+               (1, map (fun a -> Invalidate a) addr);
+             ]
+         in
+         pair (return geometry) (list_size (int_range 1 200) op)))
+    (fun ((line, ways, sets, hash), ops) ->
+      let c =
+        Sacache.create ~hash_sets:hash ~size_bytes:(line * ways * sets) ~line_bytes:line
+          ~ways ()
+      in
+      let m = model ~hash ~line ~ways ~sets in
+      List.for_all
+        (function
+          | Access (addr, write) ->
+            Sacache.access c ~addr ~write = model_access m ~addr ~write
+          | Probe addr -> Sacache.probe c ~addr = model_probe m ~addr
+          | Invalidate addr -> Sacache.invalidate c ~addr = model_invalidate m ~addr)
+        ops)
+
 (* --- directory --- *)
 
 let test_directory_basic () =
@@ -115,22 +220,28 @@ let test_directory_closest () =
   Directory.add_holder d ~line:7 ~node:10;
   Directory.add_holder d ~line:7 ~node:40;
   let dist_from x n = abs (n - x) in
-  Alcotest.(check (option int)) "closest to 12" (Some 10)
+  Alcotest.(check int) "closest to 12" 10
     (Directory.closest_holder d ~line:7 ~distance:(dist_from 12) ());
-  Alcotest.(check (option int)) "closest to 39" (Some 40)
+  Alcotest.(check int) "closest to 39" 40
     (Directory.closest_holder d ~line:7 ~distance:(dist_from 39) ());
   (* the requester itself is never returned *)
-  Alcotest.(check (option int)) "excluding self" (Some 40)
+  Alcotest.(check int) "excluding self" 40
     (Directory.closest_holder d ~line:7 ~excluding:10 ~distance:(dist_from 10) ());
   Directory.remove_holder d ~line:7 ~node:40;
-  Alcotest.(check (option int)) "no other holder" None
+  Alcotest.(check int) "no other holder" (-1)
     (Directory.closest_holder d ~line:7 ~excluding:10 ~distance:(dist_from 0) ())
 
 let prop_directory_membership =
   QCheck.Test.make ~name:"add/remove holder tracks membership" ~count:300
     (QCheck.make
-       QCheck.Gen.(list_size (int_range 0 30) (pair (int_range 0 63) bool)))
-    (fun ops ->
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 0 30)
+              (* nodes 62 and 63 live in the second holder word *)
+              (pair (frequency [ (3, int_range 0 63); (1, int_range 60 63) ]) bool))
+           (array_size (return 64) (int_range 0 4))
+           (int_range 0 63)))
+    (fun (ops, dist, excluding) ->
       let d = Directory.create ~nodes:64 in
       let expected = Hashtbl.create 16 in
       List.iter
@@ -145,7 +256,18 @@ let prop_directory_membership =
           end)
         ops;
       let want = List.sort compare (Hashtbl.fold (fun k () l -> k :: l) expected []) in
-      Directory.holders d ~line:1 = want)
+      (* closest holder: the first minimum of the distance table over the
+         ascending holder list, -1 when none is left *)
+      let first_min nodes =
+        List.fold_left
+          (fun b n -> if b < 0 || dist.(n) < dist.(b) then n else b)
+          (-1) nodes
+      in
+      let distance n = dist.(n) in
+      Directory.holders d ~line:1 = want
+      && Directory.closest_holder d ~line:1 ~distance () = first_min want
+      && Directory.closest_holder d ~line:1 ~excluding ~distance ()
+         = first_min (List.filter (( <> ) excluding) want))
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
@@ -161,7 +283,7 @@ let suite =
         Alcotest.test_case "stats/clear" `Quick test_stats_and_clear;
         Alcotest.test_case "set hashing" `Quick test_hash_spreads_aliases;
       ]
-      @ qsuite [ prop_lru_working_set ] );
+      @ qsuite [ prop_lru_working_set; prop_sacache_matches_model ] );
     ( "cache.directory",
       [
         Alcotest.test_case "holders" `Quick test_directory_basic;

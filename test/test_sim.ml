@@ -11,10 +11,10 @@ module Runner = Sim.Runner
 
 let test_heap_order () =
   let h = Heap.create () in
-  List.iter (fun (t, v) -> Heap.push h ~time:t v) [ (5, "e"); (1, "a"); (3, "c"); (1, "b") ];
+  List.iter (fun (t, v) -> Heap.push h ~time:t v) [ (5, 4); (1, 1); (3, 3); (1, 2) ];
   let popped = List.init 4 (fun _ -> Option.get (Heap.pop h)) in
-  Alcotest.(check (list (pair int string))) "time order, FIFO ties"
-    [ (1, "a"); (1, "b"); (3, "c"); (5, "e") ]
+  Alcotest.(check (list (pair int int))) "time order, FIFO ties"
+    [ (1, 1); (1, 2); (3, 3); (5, 4) ]
     popped;
   Alcotest.(check bool) "empty" true (Heap.is_empty h)
 
@@ -23,11 +23,11 @@ let prop_heap_sorted =
     (QCheck.make QCheck.Gen.(list_size (int_range 0 200) (int_range 0 1000)))
     (fun times ->
       let h = Heap.create () in
-      List.iter (fun t -> Heap.push h ~time:t ()) times;
+      List.iteri (fun i t -> Heap.push h ~time:t i) times;
       let rec drain last =
         match Heap.pop h with
         | None -> true
-        | Some (t, ()) -> t >= last && drain t
+        | Some (t, _) -> t >= last && drain t
       in
       drain min_int)
 
@@ -334,12 +334,12 @@ let test_heap_next_time_pop_payload () =
       ignore (Heap.next_time h));
   List.iter
     (fun (t, v) -> Heap.push h ~time:t v)
-    [ (7, "late"); (2, "first"); (2, "second") ];
+    [ (7, 30); (2, 10); (2, 20) ];
   Alcotest.(check int) "next_time peeks without removing" 2 (Heap.next_time h);
-  Alcotest.(check string) "key order" "first" (Heap.pop_payload h);
-  Alcotest.(check string) "FIFO tie-break" "second" (Heap.pop_payload h);
+  Alcotest.(check int) "key order" 10 (Heap.pop_payload h);
+  Alcotest.(check int) "FIFO tie-break" 20 (Heap.pop_payload h);
   Alcotest.(check int) "peek advances" 7 (Heap.next_time h);
-  Alcotest.(check string) "last" "late" (Heap.pop_payload h);
+  Alcotest.(check int) "last" 30 (Heap.pop_payload h);
   Alcotest.check_raises "pop_payload on empty"
     (Invalid_argument "Event_heap.pop_payload: empty") (fun () ->
       ignore (Heap.pop_payload h))
