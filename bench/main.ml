@@ -566,6 +566,7 @@ let micro () =
   in
   let topo = Noc.Topology.make ~width:8 ~height:8 () in
   let idx = [| 37; 91 |] in
+  let offset = Core.Layout.compile layout in
   let tests =
     Test.make_grouped ~name:"offchip"
       [
@@ -583,8 +584,8 @@ let micro () =
         Test.make ~name:"parser.parse-apsi"
           (Staged.stage (fun () ->
                ignore (Lang.Parser.parse_result apsi.H.app.App.source)));
-        Test.make ~name:"layout.offset_of_index"
-          (Staged.stage (fun () -> ignore (Core.Layout.offset_of_index layout idx)));
+        Test.make ~name:"layout.compiled_offset"
+          (Staged.stage (fun () -> ignore (offset idx)));
         Test.make ~name:"topology.xy_route-corner"
           (Staged.stage (fun () ->
                ignore (Noc.Topology.xy_route topo ~src:0 ~dst:63)));

@@ -69,18 +69,123 @@ let size_elems l = Array.fold_left (fun n d -> n * d.extent) 1 l.out
 
 let size_bytes l = size_elems l * l.elem_bytes
 
-let rec eval_dim e a' =
-  match e with
-  | D i -> a'.(i)
-  | Div (e, k) -> eval_dim e a' / k
-  | Mod (e, k) -> eval_dim e a' mod k
-  | Perm (e, t) -> t.(eval_dim e a')
+(* An output dimension is a chain of steps over one component of [a'],
+   innermost first.  Compilation fuses nested divisions by positive
+   constants (truncating division composes: (x/a)/b = x/(a·b)) and turns a
+   division or modulo by a power of two into a shift or mask, with the
+   exact operator kept for negative operands, where they differ. *)
+type step =
+  | Shift of int * int  (** [Shift (s, k)]: [x / k] with [k = 2^s] *)
+  | Mask of int * int  (** [Mask (m, k)]: [x mod k] with [m = k - 1] *)
+  | Quot of int
+  | Rem of int
+  | Table of int array
 
-let offset_of_index l a =
-  let a' = Vec.add (Matrix.mul_vec l.u a) l.a_shift in
-  let off = ref 0 in
-  Array.iter (fun d -> off := (!off * d.extent) + eval_dim d.expr a') l.out;
-  !off
+let rec chain e acc =
+  match e with
+  | D i -> (i, acc)
+  | Div (e, k) -> chain e (Quot k :: acc)
+  | Mod (e, k) -> chain e (Rem k :: acc)
+  | Perm (e, t) -> chain e (Table t :: acc)
+
+let rec fuse = function
+  | Quot a :: Quot b :: rest when a > 0 && b > 0 && a <= max_int / b ->
+    fuse (Quot (a * b) :: rest)
+  | s :: rest -> s :: fuse rest
+  | [] -> []
+
+let log2_exact k =
+  if k <= 0 || k land (k - 1) <> 0 then None
+  else
+    let rec go s = if 1 lsl s = k then s else go (s + 1) in
+    Some (go 0)
+
+let strength = function
+  | Quot k as s -> (match log2_exact k with Some b -> Shift (b, k) | None -> s)
+  | Rem k as s -> (match log2_exact k with Some _ -> Mask (k - 1, k) | None -> s)
+  | s -> s
+
+let step x = function
+  | Shift (s, k) -> if x >= 0 then x asr s else x / k
+  | Mask (m, k) -> if x >= 0 then x land m else x mod k
+  | Quot k -> x / k
+  | Rem k -> x mod k
+  | Table t -> t.(x)
+
+(* A chain that is at most one shift then one mask is a bit field of a
+   non-negative component: [(x asr s) land m], with [m = -1] when there is
+   no mask. *)
+let bit_field = function
+  | [||] -> Some (0, -1)
+  | [| Shift (s, _) |] -> Some (s, -1)
+  | [| Mask (m, _) |] -> Some (0, m)
+  | [| Shift (s, _); Mask (m, _) |] -> Some (s, m)
+  | _ -> None
+
+let compile l =
+  let u = Matrix.copy l.u and shift = Vec.copy l.a_shift in
+  let rows = Matrix.rows u and cols = Matrix.cols u in
+  if Vec.dim shift <> rows then fun a ->
+    if Vec.dim a <> cols then invalid_arg "Matrix.mul_vec" else invalid_arg "Vec.add"
+  else begin
+    let unit_u = Matrix.equal u (Matrix.identity rows) && Vec.is_zero shift in
+    let a' = Array.make rows 0 in
+    let n = Array.length l.out in
+    let src = Array.make n 0 and extent = Array.make n 0 in
+    let field = Array.make n false and sh = Array.make n 0 and mask = Array.make n 0 in
+    let steps =
+      Array.mapi
+        (fun k d ->
+          let i, st = chain d.expr [] in
+          let st = Array.of_list (List.map strength (fuse st)) in
+          src.(k) <- i;
+          extent.(k) <- d.extent;
+          (match bit_field st with
+          | Some (s, m) ->
+            field.(k) <- true;
+            sh.(k) <- s;
+            mask.(k) <- m
+          | None -> ());
+          st)
+        l.out
+    in
+    fun a ->
+      if Vec.dim a <> cols then invalid_arg "Matrix.mul_vec";
+      (* with U = I and no shift, a' is a itself *)
+      let a' =
+        if unit_u then a
+        else begin
+          for i = 0 to rows - 1 do
+            let r = u.(i) in
+            let s = ref shift.(i) in
+            for j = 0 to cols - 1 do
+              s := !s + (r.(j) * a.(j))
+            done;
+            a'.(i) <- !s
+          done;
+          a'
+        end
+      in
+      let off = ref 0 in
+      for k = 0 to n - 1 do
+        let x = a'.(src.(k)) in
+        let v =
+          if field.(k) && x >= 0 then (x asr sh.(k)) land mask.(k)
+          else begin
+            let st = steps.(k) in
+            let x = ref x in
+            for j = 0 to Array.length st - 1 do
+              x := step !x st.(j)
+            done;
+            !x
+          end
+        in
+        off := (!off * extent.(k)) + v
+      done;
+      !off
+  end
+
+let offset_of_index l a = compile l a
 
 let rec pp_dim_expr ~names ppf = function
   | D i -> Format.pp_print_string ppf (List.nth names i)

@@ -65,11 +65,18 @@ val size_elems : t -> int
 
 val size_bytes : t -> int
 
-val eval_dim : dim_expr -> Affine.Vec.t -> int
+val compile : t -> Affine.Vec.t -> int
+(** [compile l] stages {!offset_of_index}: [U]'s rows, [a_shift] and the
+    output dimensions are fixed once, and each application of the
+    returned function evaluates into a scratch [a'] it owns, allocating
+    nothing.  The returned function is therefore not reentrant: do not
+    share it between domains.  An index of the wrong length raises
+    [Invalid_argument], as [Affine.Matrix.mul_vec] does. *)
 
 val offset_of_index : t -> Affine.Vec.t -> int
 (** Element offset (within the array allocation) of an {e original} data
-    vector.  Injective on the original data space. *)
+    vector: [compile l a].  Injective on the original data space.  Stage
+    the layout with {!compile} when evaluating many indices. *)
 
 val pp_dim_expr : names:string list -> Format.formatter -> dim_expr -> unit
 (** Prints with [D i] rendered as the [i]-th of [names]. *)

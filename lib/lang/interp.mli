@@ -1,15 +1,44 @@
-(** Trace-generating interpreter.
+(** Trace generation.
 
     Runs a mini-language program with OpenMP-style static scheduling:
     the iterations of each [parfor] are split into contiguous chunks, one
     per thread, threads bound to cores in order (paper, footnote 5).  The
-    interpreter does not compute array values — it enumerates the memory
+    generator does not compute array values — it enumerates the memory
     accesses each thread performs and encodes each as a virtual address,
     using a caller-supplied address function (which is where the layout
     transformation plugs in).
 
     A top-level nest is a {e phase}; phases are separated by barriers
-    (OpenMP join), which the downstream engine honours. *)
+    (OpenMP join), which the downstream engine honours.
+
+    Each nest is compiled to closures once, just before it runs: program
+    parameters fold to constants, loop indices live in int slots, and
+    every static array reference gets its own emitter.  Hence:
+
+    - [addr_of] and [index_lookup] are applied to the array name once per
+      static reference (when its nest is compiled), and the resulting
+      functions once per access.  A caller can stage work — a table
+      lookup, a compiled layout — between the two arguments.  A partial
+      application should not fail: an array that is never accessed must
+      not make the trace fail.
+    - The index vector passed to the staged functions belongs to the
+      reference and is overwritten by its next access: a callee must not
+      keep it.
+
+    Emission order within a statement is fixed:
+    - the operands of [+ - * / %] are evaluated right before left, so the
+      right operand's loads are emitted first;
+    - an [if] evaluates the condition's lhs, then its rhs;
+    - a loop evaluates [lo], then [hi];
+    - a reference evaluates its subscripts left to right, then emits;
+    - an assignment emits its rhs, then the lhs subscripts, then the
+      write.
+
+    A variable is bound by a parameter or by the loop over it, for the
+    loop's iterations only: when a loop ends its index is unbound, even
+    if it shadowed a parameter or an enclosing loop's index, and it stays
+    unbound in later nests.  Reading an unbound variable raises
+    [Diag.Fatal] with code I001 when the read is evaluated. *)
 
 type access = int
 (** [(vaddr lsl 1) lor w] with [w = 1] for writes. *)

@@ -53,9 +53,15 @@ let prepare (cfg : Config.t) ~optimized ?threads ?(core_offset = 0)
         (info.Analysis.decl.Lang.Ast.name, base))
       analysis.Analysis.arrays
   in
-  let addr_of array index =
-    let base, layout = Hashtbl.find table array in
-    base + (Core.Layout.offset_of_index layout index * (Config.elem_bytes cfg))
+  (* staged: the interpreter applies it once per reference, so the table
+     lookup and the layout compilation happen once per reference too *)
+  let elem_bytes = Config.elem_bytes cfg in
+  let addr_of array =
+    match Hashtbl.find_opt table array with
+    | Some (base, layout) ->
+      let offset = Core.Layout.compile layout in
+      fun index -> base + (offset index * elem_bytes)
+    | None -> fun _ -> raise Not_found
   in
   let cores_total = Noc.Topology.nodes (Config.topo cfg) in
   let tpc = cfg.threads_per_core in
@@ -70,7 +76,7 @@ let prepare (cfg : Config.t) ~optimized ?threads ?(core_offset = 0)
     if attr then begin
       let tagged =
         Lang.Interp.trace_tagged ~threads ~threads_per_core:tpc ~addr_of
-          ~index_lookup:(fun a v -> index_lookup a v)
+          ~index_lookup
           ~site_of:(Lang.Sites.id_of_ref sites)
           program
       in
@@ -78,7 +84,7 @@ let prepare (cfg : Config.t) ~optimized ?threads ?(core_offset = 0)
     end
     else
       ( Lang.Interp.trace ~threads ~threads_per_core:tpc ~addr_of
-          ~index_lookup:(fun a v -> index_lookup a v)
+          ~index_lookup
           program,
         [] )
   in

@@ -28,4 +28,9 @@ let program t =
       (Printf.sprintf "workload %s does not parse: %s" t.name d.Lang.Diag.message)
   | Error [] -> assert false
 
-let index_lookup t name v = (List.assoc name t.index_contents) v
+(* staged on [name]: an array without registered contents fails only when
+   one of its elements is actually looked up *)
+let index_lookup t name =
+  match List.assoc_opt name t.index_contents with
+  | Some f -> f
+  | None -> fun _ -> raise Not_found

@@ -37,4 +37,6 @@ val program : t -> Lang.Ast.program
 
 val index_lookup : t -> string -> int array -> int
 (** Contents of an index array element; raises [Not_found] for arrays
-    without registered contents. *)
+    without registered contents.  Staged: [index_lookup t name] resolves
+    the array once, and fails only when the function it returns is
+    called. *)

@@ -190,6 +190,83 @@ let test_identity_layout () =
   Alcotest.(check int) "size" 60 (Layout.size_elems l);
   Alcotest.(check int) "bytes" 480 (Layout.size_bytes l)
 
+(* The offset formula [offset_of_index] had before layouts were compiled:
+   a fresh [a' = U·a + a_shift], then each output dimension's expression
+   tree walked per call. *)
+let reference_offset (l : Layout.t) a =
+  let rec eval_dim e a' =
+    match e with
+    | Layout.D i -> a'.(i)
+    | Layout.Div (e, k) -> eval_dim e a' / k
+    | Layout.Mod (e, k) -> eval_dim e a' mod k
+    | Layout.Perm (e, t) -> t.(eval_dim e a')
+  in
+  let a' = Vec.add (Matrix.mul_vec l.Layout.u a) l.Layout.a_shift in
+  let off = ref 0 in
+  Array.iter
+    (fun (d : Layout.out_dim) -> off := (!off * d.Layout.extent) + eval_dim d.Layout.expr a')
+    l.Layout.out;
+  !off
+
+(* Random layouts: [U] and [a_shift] over small integers, output
+   dimensions of nested [Div]/[Mod]/[Perm] (a [Perm] table lookup reduces
+   its input [mod] the table size first, so it stays mostly in range),
+   and two index vectors of the right length. *)
+let gen_layout_case =
+  let open QCheck.Gen in
+  let* rows = int_range 1 3 and* cols = int_range 1 3 in
+  let small = int_range (-3) 3 in
+  let* u = array_size (return rows) (array_size (return cols) small) in
+  let* a_shift = array_size (return rows) (int_range 0 9) in
+  let rec dim depth =
+    let leaf = map (fun i -> Layout.D i) (int_bound (rows - 1)) in
+    if depth = 0 then leaf
+    else
+      frequency
+        [
+          (2, leaf);
+          (2, map2 (fun e k -> Layout.Div (e, k)) (dim (depth - 1)) (int_range 1 8));
+          (2, map2 (fun e k -> Layout.Mod (e, k)) (dim (depth - 1)) (int_range 1 8));
+          ( 1,
+            let* n = int_range 1 6 in
+            let* e = dim (depth - 1) in
+            let+ t = shuffle_l (List.init n Fun.id) in
+            Layout.Perm (Layout.Mod (e, n), Array.of_list t) );
+        ]
+  in
+  let* out =
+    array_size (int_range 1 4)
+      (map2 (fun expr extent -> { Layout.expr; extent }) (dim 3) (int_range 1 9))
+  in
+  let index = array_size (return cols) (int_range (-2) 12) in
+  let+ a = index and+ b = index in
+  ( Layout.make ~array:"A" ~u ~a_shift ~out ~orig_extents:(Array.make cols 8)
+      ~elem_bytes:8 ~p_elems:1 (),
+    a,
+    b )
+
+let prop_compiled_layout =
+  QCheck.Test.make ~name:"compiled layout offsets match the formula" ~count:500
+    (QCheck.make
+       ~print:(fun (l, a, b) ->
+         Format.asprintf "%a@.a = %s, b = %s" Layout.pp l
+           (String.concat "," (List.map string_of_int (Vec.to_list a)))
+           (String.concat "," (List.map string_of_int (Vec.to_list b))))
+       gen_layout_case)
+    (fun (l, a, b) ->
+      let outcome f x = match f x with v -> Ok v | exception e -> Error e in
+      let offset = Layout.compile l in
+      (* the second call on [a] must not see [b]'s scratch values *)
+      let first = outcome offset a in
+      let other = outcome offset b in
+      let again = outcome offset a in
+      first = outcome (reference_offset l) a
+      && other = outcome (reference_offset l) b
+      && again = first
+      && outcome (Layout.offset_of_index l) a = first
+      && outcome offset (Array.append a [| 0 |])
+         = Error (Invalid_argument "Matrix.mul_vec"))
+
 let test_private_layout_bijective () =
   let u = Matrix.identity 2 in
   let layout = Customize.customize cfg_private ~array:"A" ~extents:[| 128; 128 |] ~u ~v:0 in
@@ -606,6 +683,7 @@ let suite =
     ( "core.layout",
       [
         Alcotest.test_case "identity" `Quick test_identity_layout;
+        QCheck_alcotest.to_alcotest prop_compiled_layout;
         Alcotest.test_case "private bijective" `Quick test_private_layout_bijective;
         Alcotest.test_case "private MC rotation" `Quick test_private_layout_mc_rotation;
         Alcotest.test_case "M2 rotation" `Quick test_private_layout_m2_rotation;

@@ -316,6 +316,247 @@ for t = 0 to 1 { parfor i = 0 to 5 { A[i] = t; } }
   let total = Array.fold_left (fun a s -> a + Array.length s) 0 (List.hd phases) in
   Alcotest.(check int) "both time steps traced" 12 total
 
+(* The order in which one statement emits its accesses, pinned on loads
+   placed on both sides of every operator that has two: a binary operator
+   emits its right operand's loads first, an [if] evaluates its lhs before
+   its rhs, a loop evaluates [lo] before [hi], and an assignment emits its
+   rhs, then the lhs subscripts left to right, then the write. *)
+let test_interp_emission_order () =
+  let p =
+    parse
+      {|
+param N = 1;
+array A[8];
+array B[8];
+array D[8][8];
+for i = A[1] to B[N] {
+  if (A[2] <= B[3]) {
+    D[A[4]][B[5]] = A[6] + B[7];
+  }
+}
+|}
+  in
+  let addr_of name v =
+    match name with
+    | "A" -> v.(0)
+    | "B" -> 100 + v.(0)
+    | _ -> 300 + (10 * v.(0)) + v.(1)
+  in
+  let stream = (List.hd (Interp.trace ~threads:1 ~addr_of p)).(0) in
+  let got =
+    Array.to_list
+      (Array.map (fun a -> (Interp.addr_of_access a, Interp.is_write a)) stream)
+  in
+  Alcotest.(check (list (pair int bool)))
+    "lo, hi, if lhs, if rhs, rhs (right operand first), lhs subscripts, write"
+    [
+      (1, false); (101, false); (2, false); (103, false); (107, false);
+      (6, false); (4, false); (105, false); (300, true);
+    ]
+    got
+
+let unbound_code f =
+  match f () with
+  | _ -> None
+  | exception Lang.Diag.Fatal d -> Some (d.Lang.Diag.code, d.Lang.Diag.message)
+
+(* A loop unbinds its index when it ends, even when the index shadowed a
+   parameter, and for later nests too; an unbound variable fails only
+   when it is evaluated. *)
+let test_interp_binding_scope () =
+  let trace src = Interp.trace ~threads:2 ~addr_of:(fun _ v -> v.(0)) (parse src) in
+  Alcotest.(check (option (pair string string))) "unreached use is fine" None
+    (unbound_code (fun () ->
+         trace
+           {|
+param N = 2;
+array A[4];
+for i = 0 to N { if (i > 5) { A[Q] = 0; } }
+|}));
+  Alcotest.(check (option (pair string string)))
+    "a loop over a parameter's name unbinds it for the next nest"
+    (Some ("I001", "unbound variable N"))
+    (unbound_code (fun () ->
+         trace
+           {|
+param N = 2;
+array A[4];
+for N = 0 to 1 { A[N] = 0; }
+for i = 0 to N { A[i] = 0; }
+|}));
+  (* the inner loop unbinds i, so the second use of i in the outer body
+     fails on the first iteration *)
+  Alcotest.(check (option (pair string string)))
+    "a nested loop over the same name unbinds it in the outer body"
+    (Some ("I001", "unbound variable i"))
+    (unbound_code (fun () ->
+         trace
+           {|
+array A[4];
+parfor i = 0 to 3 { for i = 0 to 1 { A[i] = 0; } A[i] = 1; }
+|}))
+
+(* --- differential test against the reference interpreter --- *)
+
+module Gen = QCheck.Gen
+
+(* Random programs over two parameters and three arrays (X an index
+   array), built as ASTs so that they can do what the parser's users
+   rarely do: shadow a parameter with a loop index, reuse an earlier
+   loop's name, read a variable no loop binds, and load inside
+   conditions, loop bounds and subscripts.  Loop bounds are wrapped in
+   [mod] so that trip counts stay small. *)
+let names_pool = [ "N"; "M"; "i"; "j"; "k"; "l"; "Z" ]
+
+let gen_program : Ast.program Gen.t =
+  let open Gen in
+  let var scope =
+    let* wide = int_bound 79 in
+    if wide = 0 then oneofl names_pool else oneofl scope
+  in
+  let rec expr scope depth =
+    let leaf =
+      frequency
+        [
+          (2, map (fun n -> Ast.Int n) (int_range (-2) 6));
+          (4, map (fun x -> Ast.Var x) (var scope));
+        ]
+    in
+    if depth = 0 then leaf
+    else
+      let sub = expr scope (depth - 1) in
+      (* a divisor that can be zero is rare: both must then raise
+         Division_by_zero *)
+      frequency
+        [
+          (12, leaf);
+          (3, map (fun a -> Ast.Neg a) sub);
+          (6, map2 (fun a b -> Ast.Add (a, b)) sub sub);
+          (3, map2 (fun a b -> Ast.Sub (a, b)) sub sub);
+          (3, map2 (fun a b -> Ast.Mul (a, b)) sub sub);
+          (3, map2 (fun a k -> Ast.Div (a, Ast.Int k)) sub (int_range 1 4));
+          (3, map2 (fun a k -> Ast.Mod (a, Ast.Int k)) sub (int_range 1 4));
+          ( 3,
+            map2
+              (fun a b -> Ast.Div (a, Ast.Add (Ast.Mul (b, b), Ast.Int 1)))
+              sub sub );
+          (1, map2 (fun a b -> Ast.Mod (a, Ast.Add (b, Ast.Int 3))) sub sub);
+          (6, map (fun r -> Ast.Load r) (ref_ scope (depth - 1)));
+        ]
+  and ref_ scope depth =
+    let* array, rank = oneofl [ ("A", 2); ("B", 1); ("X", 1) ] in
+    let+ subs = list_repeat rank (expr scope depth) in
+    Ast.mk_ref ~array ~subs ()
+  in
+  let rec stmt scope depth =
+    let assign =
+      map2 (fun r e -> Ast.Assign (r, e)) (ref_ scope 1) (expr scope 2)
+    in
+    if depth = 0 then assign
+    else
+      frequency [ (3, assign); (3, loop scope depth); (1, if_ scope depth) ]
+  and block scope depth = list_size (int_range 0 3) (stmt scope depth)
+  and loop scope depth =
+    let loops = List.filter (fun x -> x <> "N" && x <> "M") scope in
+    let fresh =
+      List.filter (fun x -> not (List.mem x scope)) [ "i"; "j"; "k"; "l" ]
+    in
+    let* index =
+      frequency
+        ((if fresh = [] then [] else [ (16, oneofl fresh) ])
+        @ (if loops = [] then [] else [ (2, oneofl loops) ])
+        @ [ (1, oneofl [ "N"; "M" ]); (1, oneofl names_pool) ])
+    in
+    let* parallel = bool in
+    let* lo = expr scope 1 in
+    let* hi = expr scope 1 in
+    let+ body = block (index :: scope) (depth - 1) in
+    Ast.Loop
+      {
+        Ast.index;
+        lo = Ast.Mod (lo, Ast.Int 2);
+        hi = Ast.Add (Ast.Mod (hi, Ast.Int 4), Ast.Int 3);
+        parallel;
+        body;
+        loop_span = Lang.Span.dummy;
+      }
+  and if_ scope depth =
+    let* lhs = expr scope 2 in
+    let* op = oneofl Ast.[ Lt; Le; Gt; Ge; Eq; Ne ] in
+    let* rhs = expr scope 2 in
+    let* then_ = block scope (depth - 1) in
+    let+ else_ = block scope (depth - 1) in
+    Ast.If { Ast.lhs; op; rhs; then_; else_; cond_span = Lang.Span.dummy }
+  in
+  let* n = int_range 1 6 and* m = int_range 1 4 in
+  let params = [ ("N", n); ("M", m) ] in
+  let+ nests =
+    list_size (int_range 1 3)
+      (frequency [ (4, loop [ "N"; "M" ] 3); (1, stmt [ "N"; "M" ] 2) ])
+  in
+  let dim = Ast.Var "N" in
+  {
+    Ast.params;
+    decls =
+      [
+        Ast.mk_decl ~name:"A" ~extents:[ dim; dim ] ();
+        Ast.mk_decl ~name:"B" ~extents:[ dim ] ();
+        Ast.mk_decl ~index_array:true ~name:"X" ~extents:[ dim ] ();
+      ];
+    nests;
+  }
+
+type traced = {
+  program : Ast.program;
+  cores : int;
+  threads_per_core : int;
+}
+
+let arb_traced =
+  QCheck.make
+    ~print:(fun t ->
+      Printf.sprintf "%d cores x %d threads\n%s" t.cores t.threads_per_core
+        (Ast.program_to_string t.program))
+    Gen.(
+      map3
+        (fun program cores threads_per_core -> { program; cores; threads_per_core })
+        gen_program (int_range 1 3) (int_range 1 2))
+
+(* Both generators under the same address and index functions; a run
+   that fails must fail with the same error. *)
+let prop_interp_matches_reference =
+  QCheck.Test.make ~name:"compiled trace generator matches the reference"
+    ~count:400 arb_traced (fun t ->
+      let threads = t.cores * t.threads_per_core
+      and threads_per_core = t.threads_per_core in
+      let addr_of name =
+        let h = Hashtbl.hash name in
+        fun v -> Array.fold_left (fun a x -> (a * 31) + x) h v
+      in
+      let index_lookup name v = ((Hashtbl.hash name + (3 * v.(0))) mod 5) + 1 in
+      let sites = Lang.Sites.of_program t.program in
+      let site_of = Lang.Sites.id_of_ref sites in
+      let outcome f =
+        match f () with
+        | r -> Ok r
+        | exception Lang.Diag.Fatal d -> Error (d.Lang.Diag.code ^ " " ^ d.Lang.Diag.message)
+        | exception e -> Error (Printexc.to_string e)
+      in
+      let fast =
+        outcome (fun () ->
+            Interp.trace_tagged ~threads ~threads_per_core ~addr_of ~index_lookup
+              ~site_of t.program)
+      and reference =
+        outcome (fun () ->
+            Interp_ref.trace_tagged ~threads ~threads_per_core ~addr_of
+              ~index_lookup ~site_of t.program)
+      and untagged =
+        outcome (fun () ->
+            Interp.trace ~threads ~threads_per_core ~addr_of ~index_lookup t.program)
+      in
+      fast = reference
+      && untagged = Result.map (List.map fst) reference)
+
 let suite =
   [
     ( "lang.lexer",
@@ -353,5 +594,8 @@ let suite =
         Alcotest.test_case "threads per core" `Quick test_interp_threads_per_core;
         Alcotest.test_case "index arrays" `Quick test_interp_index_arrays;
         Alcotest.test_case "sequential outer nest" `Quick test_interp_sequential_nest;
+        Alcotest.test_case "emission order" `Quick test_interp_emission_order;
+        Alcotest.test_case "binding scope" `Quick test_interp_binding_scope;
+        QCheck_alcotest.to_alcotest prop_interp_matches_reference;
       ] );
   ]
