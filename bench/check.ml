@@ -74,12 +74,16 @@ let smoke_entries () =
   ]
 
 (* Bechamel micro section: ns/run estimates of the event-loop primitives.
-   The churn benchmark is the event-loop microbenchmark of the regression
-   gate: push/pop 4096 timestamped events through the heap. *)
-let heap_churn () =
+   The churn benchmarks are the event-loop microbenchmarks of the
+   regression gate: push/pop 4096 timestamped events through the queue.
+   [churn4k] pushes times 0..1008, all inside the timing wheel's window;
+   [churn_far] pushes times 5000..69512, all past it, so it gates the
+   overflow heap. *)
+let heap_churn ?(far = false) () =
   let h : Heap.t = Heap.create () in
   for i = 0 to 4095 do
-    Heap.push h ~time:(i * 37 mod 1009) i
+    let t = i * 37 mod 1009 in
+    Heap.push h ~time:(if far then 5000 + (64 * t) else t) i
   done;
   let acc = ref 0 in
   let rec drain () =
@@ -101,6 +105,9 @@ let micro_entries () =
       ( "micro.event_heap.churn4k_ns",
         Test.make ~name:"churn" (Staged.stage (fun () -> ignore (heap_churn ())))
       );
+      ( "micro.event_heap.churn_far_ns",
+        Test.make ~name:"churn_far"
+          (Staged.stage (fun () -> ignore (heap_churn ~far:true ()))) );
       ( "micro.network.send_corner_ns",
         Test.make ~name:"send"
           (Staged.stage (fun () ->

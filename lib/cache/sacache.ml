@@ -4,6 +4,7 @@ type t = {
   line_bytes : int;
   line_shift : int;
   num_sets : int;
+  set_shift : int;  (** log2 [num_sets] if a power of two, else -1 *)
   hash_sets : bool;
   ways : int;
   tags : int array;  (** [(set * ways) + way] -> line address, or -1 *)
@@ -21,7 +22,8 @@ let log2 n =
   go 0 n
 
 let create ?(hash_sets = false) ~size_bytes ~line_bytes ~ways () =
-  if size_bytes <= 0 || ways <= 0 || not (is_pow2 line_bytes) then
+  if size_bytes <= 0 || ways <= 0 || line_bytes < 4 || not (is_pow2 line_bytes)
+  then
     invalid_arg "Sacache.create";
   let lines = size_bytes / line_bytes in
   let num_sets = lines / ways in
@@ -30,6 +32,7 @@ let create ?(hash_sets = false) ~size_bytes ~line_bytes ~ways () =
     line_bytes;
     line_shift = log2 line_bytes;
     num_sets;
+    set_shift = (if is_pow2 num_sets then log2 num_sets else -1);
     hash_sets;
     ways;
     tags = Array.make (num_sets * ways) (-1);
@@ -46,15 +49,22 @@ let sets c = c.num_sets
 
 let line_addr c addr = addr land lnot (c.line_bytes - 1)
 
+(* XOR-folding divides by [num_sets] and its square; a power-of-two set
+   count does both (and the final reduction) with shifts and a mask, which
+   equals the div/mod form because [idx] is non-negative. *)
 let set_of c line =
   let idx = line lsr c.line_shift in
-  let idx = if c.hash_sets then idx lxor (idx / c.num_sets) lxor (idx / (c.num_sets * c.num_sets)) else idx in
-  ((idx mod c.num_sets) + c.num_sets) mod c.num_sets
+  let s = c.set_shift in
+  if s >= 0 then
+    let idx = if c.hash_sets then idx lxor (idx lsr s) lxor (idx lsr (2 * s)) else idx in
+    idx land (c.num_sets - 1)
+  else
+    let idx = if c.hash_sets then idx lxor (idx / c.num_sets) lxor (idx / (c.num_sets * c.num_sets)) else idx in
+    ((idx mod c.num_sets) + c.num_sets) mod c.num_sets
 
-(* Slot holding [line], or -1: a plain loop, so a lookup allocates no
-   option and no closure. *)
-let find c line =
-  let base = set_of c line * c.ways in
+(* Slot holding [line] in the set starting at [base], or -1: a plain
+   loop, so a lookup allocates no option and no closure. *)
+let find_in c base line =
   let slot = ref (-1) and w = ref 0 in
   while !slot < 0 && !w < c.ways do
     if c.tags.(base + !w) = line then slot := base + !w;
@@ -62,20 +72,25 @@ let find c line =
   done;
   !slot
 
-let access c ~addr ~write =
+let find c line = find_in c (set_of c line * c.ways) line
+
+let hit = -1
+
+let miss_clean = -2
+
+let access_code c ~addr ~write =
   c.tick <- c.tick + 1;
   let line = line_addr c addr in
-  let slot = find c line in
+  let base = set_of c line * c.ways in
+  let slot = find_in c base line in
   if slot >= 0 then begin
     c.hits <- c.hits + 1;
     c.last_use.(slot) <- c.tick;
     if write then c.dirty.(slot) <- true;
-    Hit
+    hit
   end
   else begin
     c.misses <- c.misses + 1;
-    let s = set_of c line in
-    let base = s * c.ways in
     (* victim: an invalid way, else the LRU way *)
     let victim = ref base in
     for w = 0 to c.ways - 1 do
@@ -87,13 +102,22 @@ let access c ~addr ~write =
       then victim := i
     done;
     let v = !victim in
-    let evicted = if c.tags.(v) <> -1 then Some c.tags.(v) else None in
-    let evicted_dirty = c.tags.(v) <> -1 && c.dirty.(v) in
+    let old = c.tags.(v) in
+    let code =
+      if old = -1 then miss_clean else if c.dirty.(v) then old lor 1 else old
+    in
     c.tags.(v) <- line;
     c.dirty.(v) <- write;
     c.last_use.(v) <- c.tick;
-    Miss { evicted; evicted_dirty }
+    code
   end
+
+let access c ~addr ~write =
+  let code = access_code c ~addr ~write in
+  if code = hit then Hit
+  else if code = miss_clean then Miss { evicted = None; evicted_dirty = false }
+  else
+    Miss { evicted = Some (code land lnot 1); evicted_dirty = code land 1 <> 0 }
 
 let probe c ~addr = find c (line_addr c addr) >= 0
 

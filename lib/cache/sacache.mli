@@ -15,7 +15,7 @@ type result =
 
 val create : ?hash_sets:bool -> size_bytes:int -> line_bytes:int -> ways:int -> unit -> t
 (** Raises [Invalid_argument] unless sizes are positive, [line_bytes] a
-    power of two, and the geometry yields at least one set.
+    power of two of at least 4, and the geometry yields at least one set.
 
     [hash_sets] (default false) XOR-folds the upper line-address bits
     into the set index, as many real caches do.  The simulator enables it
@@ -31,9 +31,21 @@ val sets : t -> int
 val line_addr : t -> int -> int
 (** Base address of the line containing a byte address. *)
 
-val access : t -> addr:int -> write:bool -> result
+val hit : int
+(** {!access_code} result of a hit. *)
+
+val miss_clean : int
+(** {!access_code} result of a miss whose fill displaced no line. *)
+
+val access_code : t -> addr:int -> write:bool -> int
 (** Looks up [addr]; on a miss the line is filled (allocate-on-write).
-    Writes mark the line dirty. *)
+    Writes mark the line dirty.  Returns {!hit}, {!miss_clean}, or the
+    base address of the line the fill displaced, with bit 0 set when it
+    was dirty and must be written back (lines are aligned to at least 4
+    bytes, so neither marker is such a code).  Allocates nothing. *)
+
+val access : t -> addr:int -> write:bool -> result
+(** {!access_code} decoded into a {!result}. *)
 
 val probe : t -> addr:int -> bool
 (** Lookup without any state change. *)

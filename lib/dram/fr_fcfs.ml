@@ -43,8 +43,10 @@ type t = {
   mutable num_served : int;
   mutable num_row_hits : int;
   mutable max_pending : int;
-  (* time-integral of queue length, for the occupancy statistic *)
-  mutable occ_integral : float;
+  (* time-integral of queue length, for the occupancy statistic: an int,
+     so an update boxes no float (it stays far below 2^53, so its
+     conversion to float is exact) *)
+  mutable occ_integral : int;
   mutable occ_last_t : int;
   mutable occ_count : int;
 }
@@ -85,7 +87,7 @@ let create ?(timing = Timing.ddr3_1600) ?(channels = 1) ?(scheduler = Fr_fcfs)
     num_served = 0;
     num_row_hits = 0;
     max_pending = 0;
-    occ_integral = 0.;
+    occ_integral = 0;
     occ_last_t = 0;
     occ_count = 0;
   }
@@ -98,8 +100,7 @@ let note_depth t now =
 
 let occ_touch t now =
   if now > t.occ_last_t then begin
-    t.occ_integral <-
-      t.occ_integral +. (float_of_int t.occ_count *. float_of_int (now - t.occ_last_t));
+    t.occ_integral <- t.occ_integral + (t.occ_count * (now - t.occ_last_t));
     t.occ_last_t <- now
   end
 
@@ -293,11 +294,11 @@ let row_hits t = t.num_row_hits
 
 let occupancy t ~at =
   occ_touch t at;
-  if at <= 0 then 0. else t.occ_integral /. float_of_int at
+  if at <= 0 then 0. else float_of_int t.occ_integral /. float_of_int at
 
 let occ_integral_at t ~at =
   occ_touch t at;
-  t.occ_integral
+  float_of_int t.occ_integral
 
 let reset t =
   Array.fill t.open_row 0 t.banks (-1);
@@ -313,6 +314,6 @@ let reset t =
   t.num_served <- 0;
   t.num_row_hits <- 0;
   t.max_pending <- 0;
-  t.occ_integral <- 0.;
+  t.occ_integral <- 0;
   t.occ_last_t <- 0;
   t.occ_count <- 0

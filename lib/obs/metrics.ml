@@ -102,10 +102,10 @@ let log2_floor v =
   go v 0
 
 let bucket_index kind v =
-  let v = max 0 v in
+  let v = Int.max 0 v in
   match kind with
-  | Log2 -> if v = 0 then 0 else min (max_log2_buckets - 1) (log2_floor v + 1)
-  | Linear { width; buckets } -> min (buckets - 1) (v / width)
+  | Log2 -> if v = 0 then 0 else Int.min (max_log2_buckets - 1) (log2_floor v + 1)
+  | Linear { width; buckets } -> Int.min (buckets - 1) (v / width)
 
 let bucket_bounds kind i =
   match kind with
@@ -120,7 +120,7 @@ let bucket_bounds kind i =
     else (i * width, (i + 1) * width)
 
 let observe h v =
-  let v = max 0 v in
+  let v = Int.max 0 v in
   let i = bucket_index h.h_kind v in
   h.h_counts.(i) <- h.h_counts.(i) + 1;
   h.h_sum <- h.h_sum + v;

@@ -22,7 +22,15 @@
     (reclaimed frames are reused before the bump pointer advances, so a
     departed tenant's memory really comes back), and every policy spills
     to an alternate controller — counting a fallback — when the chosen
-    controller is full. *)
+    controller is full.
+
+    Mappings live in a two-level radix table: 4096-entry leaves, each
+    allocated on the first mapping inside it, under a top level that
+    grows to the highest leaf touched (up to 2{^16} leaves, i.e. 2{^28}
+    pages; negative or farther pages go to a hash table).  Translating a
+    mapped page is O(1) and allocates nothing; {!free_region} is linear
+    in the allocated leaves its range covers and skips the others whole;
+    {!pages_allocated} is O(1). *)
 
 type policy =
   | Hardware_interleaved

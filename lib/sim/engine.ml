@@ -410,10 +410,14 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
       Event_heap.push heap ~time:tw (event ev_mc_wake m)
     end
   in
-  let enqueue_mc ~now ~m ~id ?(write = false) paddr =
-    Fr_fcfs.enqueue mcs.(m) ~now ~bank:(Address_map.bank_of_paddr amap paddr)
-      ~row:(Address_map.row_of_paddr amap paddr)
-      ~write ~id ();
+  (* a variable passed to [Fr_fcfs.enqueue]'s optional [?write] would box
+     a [Some] per request; the constant [~write:true] is static *)
+  let enqueue_mc ~now ~m ~id ~write paddr =
+    let c = mcs.(m) in
+    let bank = Address_map.bank_of_paddr amap paddr
+    and row = Address_map.row_of_paddr amap paddr in
+    if write then Fr_fcfs.enqueue c ~now ~bank ~row ~write:true ~id ()
+    else Fr_fcfs.enqueue c ~now ~bank ~row ~id ();
     schedule_mc_wake m now
   in
   let writeback ~now ~src paddr =
@@ -474,11 +478,12 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
       let paddr = Page_alloc.translate_owned pa ~owner:jid ~node ~vaddr in
       if measured then Stats.record_access stats;
       let t = t + issue_cost + jitter jid tid in
-      match Sacache.access l1.(node) ~addr:paddr ~write:wr with
-      | Sacache.Hit ->
+      if Sacache.access_code l1.(node) ~addr:paddr ~write:wr = Sacache.hit
+      then begin
         if measured then Stats.record_l1_hit stats;
         issue_accesses s jid tid stream measured (t + cfg.l1_latency)
-      | Sacache.Miss _ ->
+      end
+      else begin
         (* L1 fills at detection; L1 writebacks are not modeled *)
         let rid = !miss_counter in
         incr miss_counter;
@@ -507,6 +512,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
             (t + cfg.l1_latency);
           issue_accesses s jid tid stream measured (t + cfg.l1_latency)
         end
+      end
     end
   and finish_thread s _tid t =
     s.remaining <- s.remaining - 1;
@@ -563,18 +569,19 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
       Obs.Trace.span trace ~cat:"cache" ~name:"L2 lookup" ~pid:jid ~tid:node
         ~ts:t ~dur:cfg.l2_latency ();
     let t = t + cfg.l2_latency in
-    match Sacache.access l2.(node) ~addr:paddr ~write:wr with
-    | Sacache.Hit ->
+    let code = Sacache.access_code l2.(node) ~addr:paddr ~write:wr in
+    if code = Sacache.hit then begin
       if measured then Stats.record_l2_hit stats;
       if resume then continue_thread jid tid t
       else outstanding_stores.(jid).(tid) <- outstanding_stores.(jid).(tid) - 1
-    | Sacache.Miss { evicted; evicted_dirty } ->
+    end
+    else begin
       let line = line_of paddr in
-      (match evicted with
-      | Some ev ->
+      if code <> Sacache.miss_clean then begin
+        let ev = code land lnot 1 in
         Directory.remove_holder dir ~line:ev ~node;
-        if evicted_dirty then writeback ~now:t ~src:node ev
-      | None -> ());
+        if code land 1 <> 0 then writeback ~now:t ~src:node ev
+      end;
       let holder =
         Directory.closest_holder dir ~line ~excluding:node
           ~distance:dist_from.(node) ()
@@ -613,6 +620,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
         req.pend_net <- arr - t;
         Event_heap.push heap ~time:arr (event ev_dir_decide req.slot)
       end
+    end
   and miss_shared jid tid node paddr wr ~rid ~site ~traced ~measured ~resume t
       =
     let home = paddr / l2_line mod nodes in
@@ -629,21 +637,22 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
   and home_decide req t =
     span_req req ~cat:"cache" ~name:"L2 home" ~ts:t ~dur:cfg.l2_latency;
     let t = t + cfg.l2_latency in
-    match
-      Sacache.access l2.(req.home) ~addr:(bank_local req.rpaddr) ~write:false
-    with
-    | Sacache.Hit ->
+    let code =
+      Sacache.access_code l2.(req.home) ~addr:(bank_local req.rpaddr)
+        ~write:false
+    in
+    if code = Sacache.hit then begin
       if req.measured then Stats.record_l2_hit stats;
       send_home_to_requester req t
-    | Sacache.Miss { evicted; evicted_dirty } ->
-      (match evicted with
-      | Some ev when evicted_dirty ->
+    end
+    else begin
+      if code <> Sacache.miss_clean && code land 1 <> 0 then begin
         (* reconstruct a representative global address for the evicted
            bank-local line: same bank, same local line *)
-        let local_line = ev / l2_line in
+        let local_line = (code land lnot 1) / l2_line in
         let global = ((local_line * nodes) + req.home) * l2_line in
         writeback ~now:t ~src:req.home global
-      | _ -> ());
+      end;
       let m =
         if cfg.optimal then nearest_mc req.home
         else Address_map.mc_of_paddr amap req.rpaddr
@@ -654,6 +663,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
       log_leg ~measured:req.measured ~offchip:true (hops_between req.home dst)
         (arr - t);
       Event_heap.push heap ~time:arr (event ev_mc_arrive req.slot)
+    end
   and send_home_to_requester req t =
     if req.home = req.rnode then complete_request req t
     else begin
@@ -698,7 +708,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
       span_req req ~cat:"dram" ~name:"bank" ~ts:t ~dur:service;
       mc_respond req finish
     end
-    else enqueue_mc ~now:t ~m:req.mc ~id:req.slot req.rpaddr
+    else enqueue_mc ~now:t ~m:req.mc ~id:req.slot ~write:false req.rpaddr
   and mc_respond req t =
     let src = mc_node req.mc in
     let dst = if req.rshared then req.home else req.rnode in
@@ -755,7 +765,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
       Directory.remove_holder dir ~line:(line_of req.rpaddr) ~node:h;
       ignore (Sacache.invalidate l2.(h) ~addr:req.rpaddr)
     end
-    else ignore (Sacache.access l2.(h) ~addr:req.rpaddr ~write:false);
+    else ignore (Sacache.access_code l2.(h) ~addr:req.rpaddr ~write:false);
     let arr = send_req req ~now:t ~src:h ~dst:req.rnode ~bytes:data_bytes in
     log_leg ~measured:req.measured ~offchip:false (hops_between h req.rnode)
       (arr - t);
@@ -864,7 +874,7 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
         mcs;
     mc_max_queue = Array.map Fr_fcfs.max_pending mcs;
     mc_occ_integral = Array.map (fun m -> Fr_fcfs.occ_integral_at m ~at:horizon) mcs;
-    link_utilization = Noc.Network.utilization net ~at:horizon;
+    link_utilization;
     link_busy = Noc.Network.link_busy net;
     pages_allocated = Page_alloc.pages_allocated pa;
   }

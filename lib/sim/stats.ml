@@ -76,7 +76,7 @@ let record_offchip t ~origin ~mc =
 let record_leg t ~offchip ~hops ~cycles =
   (* clamp into the last bucket: routes longer than [max_hops] must not
      silently vanish from the CDF *)
-  let h = min hops max_hops in
+  let h = Int.min hops max_hops in
   if offchip then begin
     t.offchip_hops.(h) <- t.offchip_hops.(h) + 1;
     M.add t.c_offchip_net_cycles cycles;

@@ -174,7 +174,7 @@ let prop_sacache_matches_model =
            (List.length ops))
        QCheck.Gen.(
          let* geometry =
-           quad (oneofl [ 32; 64 ]) (int_range 1 4) (oneofl [ 1; 2; 4; 8 ]) bool
+           quad (oneofl [ 32; 64 ]) (int_range 1 4) (oneofl [ 1; 2; 3; 4; 6; 8 ]) bool
          in
          let line, ways, sets, _ = geometry in
          (* addresses over 4x the capacity, so sets conflict and evict *)
@@ -221,9 +221,9 @@ let test_directory_closest () =
   Directory.add_holder d ~line:7 ~node:40;
   let dist_from x n = abs (n - x) in
   Alcotest.(check int) "closest to 12" 10
-    (Directory.closest_holder d ~line:7 ~distance:(dist_from 12) ());
+    (Directory.closest_holder d ~line:7 ~excluding:(-1) ~distance:(dist_from 12) ());
   Alcotest.(check int) "closest to 39" 40
-    (Directory.closest_holder d ~line:7 ~distance:(dist_from 39) ());
+    (Directory.closest_holder d ~line:7 ~excluding:(-1) ~distance:(dist_from 39) ());
   (* the requester itself is never returned *)
   Alcotest.(check int) "excluding self" 40
     (Directory.closest_holder d ~line:7 ~excluding:10 ~distance:(dist_from 10) ());
@@ -265,9 +265,82 @@ let prop_directory_membership =
       in
       let distance n = dist.(n) in
       Directory.holders d ~line:1 = want
-      && Directory.closest_holder d ~line:1 ~distance () = first_min want
+      && Directory.closest_holder d ~line:1 ~excluding:(-1) ~distance () = first_min want
       && Directory.closest_holder d ~line:1 ~excluding ~distance ()
          = first_min (List.filter (( <> ) excluding) want))
+
+(* Churn against a list-of-holders model: ~4000 distinct lines enter the
+   table (forcing growth past the initial 4096 slots, to a final load near
+   one half, so probe chains are long and some wrap around the table's
+   end), then random adds and removes (most removes take a line's last
+   holder, so backward-shift deletion runs inside those chains).  The
+   touched line is checked after every step and every line at
+   checkpoints. *)
+let prop_directory_churn =
+  QCheck.Test.make ~name:"directory churn matches a holder-list model" ~count:8
+    (QCheck.make ~print:string_of_int QCheck.Gen.int)
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let nodes = 64 in
+      let d = Directory.create ~nodes in
+      let model : (int, int list) Hashtbl.t = Hashtbl.create 4096 in
+      let lines =
+        let seen = Hashtbl.create 4096 in
+        let acc = ref [ 0 ] in
+        Hashtbl.replace seen 0 ();
+        while Hashtbl.length seen < 4000 do
+          let l = Random.State.bits rs * 256 in
+          if not (Hashtbl.mem seen l) then begin
+            Hashtbl.replace seen l ();
+            acc := l :: !acc
+          end
+        done;
+        Array.of_list !acc
+      in
+      let get line = Option.value (Hashtbl.find_opt model line) ~default:[] in
+      let add line node =
+        Directory.add_holder d ~line ~node;
+        Hashtbl.replace model line (List.sort_uniq compare (node :: get line))
+      in
+      let remove line node =
+        Directory.remove_holder d ~line ~node;
+        match List.filter (( <> ) node) (get line) with
+        | [] -> Hashtbl.remove model line
+        | l -> Hashtbl.replace model line l
+      in
+      let distance n = (n * 7) mod 13 in
+      let agrees line =
+        let want = get line in
+        let first_min excluding =
+          List.fold_left
+            (fun b n ->
+              if n = excluding then b
+              else if b < 0 || distance n < distance b then n
+              else b)
+            (-1) want
+        in
+        let excluding = match want with n :: _ -> n | [] -> -1 in
+        Directory.holders d ~line = want
+        && Directory.closest_holder d ~line ~excluding:(-1) ~distance ()
+           = first_min (-1)
+        && Directory.closest_holder d ~line ~excluding ~distance ()
+           = first_min excluding
+      in
+      let all_agree () = Array.for_all agrees lines in
+      Array.iter (fun l -> add l (Random.State.int rs nodes)) lines;
+      let ok = ref (all_agree ()) in
+      for step = 1 to 6000 do
+        let line = lines.(Random.State.int rs (Array.length lines)) in
+        (match get line with
+        | n :: _ when Random.State.int rs 4 > 0 -> remove line n
+        | _ ->
+          if Random.State.bool rs then add line (Random.State.int rs nodes)
+          else remove line (Random.State.int rs nodes));
+        ok := !ok && agrees line;
+        if step mod 1500 = 0 then ok := !ok && all_agree ()
+      done;
+      Directory.clear d;
+      !ok && Array.for_all (fun line -> Directory.holders d ~line = []) lines)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
@@ -289,5 +362,5 @@ let suite =
         Alcotest.test_case "holders" `Quick test_directory_basic;
         Alcotest.test_case "closest holder" `Quick test_directory_closest;
       ]
-      @ qsuite [ prop_directory_membership ] );
+      @ qsuite [ prop_directory_membership; prop_directory_churn ] );
   ]

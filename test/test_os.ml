@@ -199,6 +199,122 @@ let prop_translation_injective =
       in
       List.length frames = List.length (List.sort_uniq compare frames))
 
+(* The radix page table against the Hashtbl-backed allocator it replaced
+   (the reference model), call for call: map, free and re-map across
+   sparse 256 MB slices (as the consolidation server lays tenants out),
+   pages on leaf boundaries, negative addresses and pages past the radix
+   range, and frees that cross from one region into the next.  Small per-controller budgets force fallbacks and exhaustion. *)
+type pa_op =
+  | Touch of { slice : int; page : int; offset : int; node : int; owner : int }
+  | Free_slice of int
+  | Free_range of int * int
+  | Reset
+
+let slice_pages = (1 lsl 28) / 4096
+
+let prop_radix_matches_hashtbl =
+  let slice = QCheck.Gen.oneofl [ -1; 0; 1; 2; 7; 4095; 4096; 4097 ] in
+  let page =
+    QCheck.Gen.(
+      frequency
+        [
+          (2, return 0);
+          (4, int_range 0 40);
+          (2, int_range 4090 4100);
+          (1, int_range 0 (slice_pages - 1));
+        ])
+  in
+  QCheck.Test.make ~name:"radix page table matches the Hashtbl model" ~count:100
+    (QCheck.make
+       ~print:(fun ((line, policy, budget), ops) ->
+         Printf.sprintf "line=%b policy=%d budget=%d ops=%d" line policy budget
+           (List.length ops))
+       QCheck.Gen.(
+         pair
+           (triple bool (int_range 0 2) (oneofl [ 8; 64 ]))
+           (list_size (int_range 1 200)
+              (frequency
+                 [
+                   ( 24,
+                     map3
+                       (fun (slice, page) offset (node, owner) ->
+                         Touch { slice; page; offset; node; owner })
+                       (pair slice page) (int_range 0 4095)
+                       (pair (int_range 0 63) (int_range (-1) 2)) );
+                   (1, map (fun s -> Free_slice s) slice);
+                   ( 4,
+                     map2
+                       (fun (s, p) len -> Free_range ((s * slice_pages) + p, len))
+                       (pair slice page) (int_range 0 9000) );
+                   (* ranges that cross into a slice from below *)
+                   ( 2,
+                     map2
+                       (fun s back -> Free_range ((s * slice_pages) - back, 2 * back))
+                       slice (int_range 1 50) );
+                   (1, return Reset);
+                 ]))))
+    (fun ((line, policy, budget), ops) ->
+      let map = if line then line_map else page_map in
+      let first_touch n = n mod 4 in
+      let desired v = if v mod 3 = 0 then None else Some (abs (v / 3) mod 4) in
+      let pa =
+        Page_alloc.create ~map ~frames_per_mc:budget
+          ~policy:
+            (match policy with
+            | 0 -> Page_alloc.Hardware_interleaved
+            | 1 -> Page_alloc.First_touch first_touch
+            | _ -> Page_alloc.Mc_aware { desired; fallback = first_touch })
+          ()
+      and rf =
+        Page_alloc_ref.create ~map ~frames_per_mc:budget
+          ~policy:
+            (match policy with
+            | 0 -> Page_alloc_ref.Hardware_interleaved
+            | 1 -> Page_alloc_ref.First_touch first_touch
+            | _ -> Page_alloc_ref.Mc_aware { desired; fallback = first_touch })
+          ()
+      in
+      let touched = ref [] in
+      let outcome f =
+        match f () with
+        | v -> Ok v
+        | exception (Failure e | Invalid_argument e) -> Error e
+      in
+      let step = function
+        | Touch { slice; page; offset; node; owner } ->
+          let vaddr = (slice * (1 lsl 28)) + (page * 4096) + offset in
+          touched := (vaddr / 4096) :: !touched;
+          outcome (fun () -> Page_alloc.translate_owned pa ~owner ~node ~vaddr)
+          = outcome (fun () -> Page_alloc_ref.translate_owned rf ~owner ~node ~vaddr)
+        | Free_slice s ->
+          let first_vpage = s * slice_pages in
+          let last_vpage = first_vpage + slice_pages - 1 in
+          Page_alloc.free_region pa ~first_vpage ~last_vpage
+          = Page_alloc_ref.free_region rf ~first_vpage ~last_vpage
+        | Free_range (first_vpage, len) ->
+          let last_vpage = first_vpage + len in
+          Page_alloc.free_region pa ~first_vpage ~last_vpage
+          = Page_alloc_ref.free_region rf ~first_vpage ~last_vpage
+        | Reset ->
+          Page_alloc.reset pa;
+          Page_alloc_ref.reset rf;
+          true
+      in
+      let same_counts () =
+        Page_alloc.pages_allocated pa = Page_alloc_ref.pages_allocated rf
+        && Page_alloc.fallback_allocations pa
+           = Page_alloc_ref.fallback_allocations rf
+      in
+      List.for_all (fun op -> step op && same_counts ()) ops
+      && List.for_all
+           (fun v -> Page_alloc.mc_of_vpage pa v = Page_alloc_ref.mc_of_vpage rf v)
+           !touched
+      && List.for_all
+           (fun owner ->
+             Page_alloc.fallback_allocations_of pa ~owner
+             = Page_alloc_ref.fallback_allocations_of rf ~owner)
+           [ 0; 1; 2 ])
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suite =
@@ -223,5 +339,5 @@ let suite =
           test_line_mode_capacity_and_reuse;
         Alcotest.test_case "reset" `Quick test_reset;
       ]
-      @ qsuite [ prop_translation_injective ] );
+      @ qsuite [ prop_translation_injective; prop_radix_matches_hashtbl ] );
   ]

@@ -31,6 +31,88 @@ let prop_heap_sorted =
       in
       drain min_int)
 
+(* The wheel against the plain binary heap it fronts (the reference
+   model): random push/pop interleavings must pop identical (time,
+   payload) sequences.  Push times are drawn relative to the latest pop
+   (equal times, lead times inside and past the 4096-cycle window, times
+   before the latest pop), on the window's edge relative to the largest
+   pop, and as repeats of an earlier push's time (which puts equal times
+   in the wheel and in the overflow heap). *)
+type heap_op =
+  | Lead of int  (** latest pop + lead *)
+  | Edge of int  (** largest pop + lead *)
+  | Repeat of int  (** the time of an earlier push *)
+  | Pop
+  | Peek_pop  (** next_time, then pop_payload *)
+  | Drain
+
+let prop_wheel_matches_heap =
+  QCheck.Test.make ~name:"wheel pops match the reference heap" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+       QCheck.Gen.(
+         list_size (int_range 1 400)
+           (frequency
+              [
+                (4, map (fun l -> Lead l) (int_range 0 3));
+                (3, map (fun l -> Lead l) (int_range 0 4095));
+                (2, map (fun l -> Lead l) (int_range 4090 20000));
+                (1, map (fun l -> Lead l) (int_range (-300) (-1)));
+                (1, map (fun l -> Edge l) (int_range 4094 4097));
+                (2, map (fun k -> Repeat k) (int_range 0 1000));
+                (5, return Pop);
+                (3, return Peek_pop);
+                (1, return Drain);
+              ])))
+    (fun ops ->
+      let h = Heap.create () and r = Event_heap_ref.create () in
+      let last = ref 0 and largest = ref 0 and pushed = ref [||] in
+      let note t =
+        last := t;
+        largest := Int.max !largest t
+      in
+      let pop_both () =
+        let a = Heap.pop h and b = Event_heap_ref.pop r in
+        Option.iter (fun (t, _) -> note t) b;
+        a = b
+      in
+      let push t i =
+        pushed := Array.append !pushed [| t |];
+        Heap.push h ~time:t i;
+        Event_heap_ref.push r ~time:t i
+      in
+      let step i op =
+        (match op with
+        | Lead l -> push (!last + l) i; true
+        | Edge l -> push (!largest + l) i; true
+        | Repeat k ->
+          let n = Array.length !pushed in
+          if n > 0 then push !pushed.(k mod n) i;
+          true
+        | Pop -> pop_both ()
+        | Peek_pop ->
+          if Event_heap_ref.is_empty r then Heap.is_empty h
+          else begin
+            let t = Event_heap_ref.next_time r in
+            let ok = Heap.next_time h = t in
+            note t;
+            ok && Heap.pop_payload h = Event_heap_ref.pop_payload r
+          end
+        | Drain ->
+          let ok = ref true in
+          while not (Event_heap_ref.is_empty r) do
+            ok := pop_both () && !ok
+          done;
+          !ok && Heap.is_empty h)
+        && Heap.size h = Event_heap_ref.size r
+      in
+      let rec go i = function
+        | [] -> true
+        | op :: rest -> step i op && go (i + 1) rest
+      in
+      (* every run ends drained to empty *)
+      go 0 ops && go (List.length ops) [ Drain ] && Heap.pop h = None)
+
 (* --- config --- *)
 
 let ok = function Ok v -> v | Error e -> failwith e
@@ -441,7 +523,7 @@ let suite =
         Alcotest.test_case "next_time / pop_payload" `Quick
           test_heap_next_time_pop_payload;
       ]
-      @ qsuite [ prop_heap_sorted ] );
+      @ qsuite [ prop_heap_sorted; prop_wheel_matches_heap ] );
     ( "sim.config",
       [
         Alcotest.test_case "table 1 defaults" `Quick test_default_config;
