@@ -25,13 +25,7 @@ type entry = {
   name : string;
   value : float;
   tolerance : float;
-  min_floor : bool;
-      (* true: [value] is a required floor (measured >= value passes) —
-         used by the parallel-speedup entries, where bigger is better.
-         false (default): [measured <= value * tolerance] passes. *)
 }
-
-let min_floor_of name = String.length name >= 4 && String.sub name 0 4 = "par."
 
 (* --- measurements --- *)
 
@@ -135,73 +129,6 @@ let micro_entries () =
       (entry_name, est))
     tests
 
-(* Parallel smoke: 4 cluster-confined apsi replicas on the page-interleaved
-   first-touch platform — the canonical decomposable workload the parallel
-   engine speeds up.  Two things are checked:
-
-   - byte-equality of the 4-domain and sequential result documents, on
-     EVERY host — the fallback backend still runs the partitioned merge
-     path (serialized), so the oracle is meaningful even on OCaml 4;
-   - the 4-domain wall-clock speedup against the committed floor, only
-     where it can be measured (an OCaml 5 build on a >= 4-core host);
-     elsewhere the entry is reported as skipped with the reason. *)
-let par_speedup_name = "par.smoke_speedup_x4"
-
-let par_entries () =
-  let cfg =
-    match
-      Config.build ~scaled:true ~platform:"" ~l2:"private" ~interleave:"page"
-        ~policy:"first-touch" ~mapping:"" ~width:8 ~height:8 ~tpc:1
-        ~optimal:false ~seed:0 ()
-    with
-    | Ok c -> c
-    | Error e -> failwith ("par smoke config: " ^ e)
-  in
-  let app = Workloads.Suite.by_name "apsi" in
-  let jobs =
-    Sim.Runner.prepare_replicas cfg ~optimized:false
-      ~warmup_phases:app.Workloads.App.warmup_nests
-      ~index_lookup:(Workloads.App.index_lookup app)
-      (Workloads.App.program app)
-  in
-  let plan = ref "" in
-  let run ~domains () =
-    Sim.Runner.run_many ~domains ~on_plan:(fun s -> plan := s) cfg ~jobs
-  in
-  let doc r = Json.to_string (Sweep.Exec.result_json ~app:"apsi" cfg r) in
-  let seq = run ~domains:1 () in
-  let par = run ~domains:4 () in
-  if String.length !plan < 9 || String.sub !plan 0 9 <> "parallel:" then
-    failwith ("par smoke did not plan parallel: " ^ !plan);
-  if doc seq <> doc par then
-    failwith "par smoke: 4-domain result differs from the sequential oracle";
-  if not Sim.Par_backend.available then
-    ([], [ (par_speedup_name, "no domain support in this build") ])
-  else
-    let cores = Sim.Par_backend.cpu_count () in
-    if cores < 4 then
-      ( [],
-        [
-          ( par_speedup_name,
-            Printf.sprintf "host has %d core%s (need 4)" cores
-              (if cores = 1 then "" else "s") );
-        ] )
-    else begin
-      let best f =
-        let best = ref infinity in
-        for _ = 1 to 3 do
-          let t0 = Unix.gettimeofday () in
-          ignore (f ());
-          let dt = Unix.gettimeofday () -. t0 in
-          if dt < !best then best := dt
-        done;
-        !best
-      in
-      let seq_s = best (run ~domains:1) in
-      let par_s = best (run ~domains:4) in
-      ([ (par_speedup_name, seq_s /. par_s) ], [])
-    end
-
 (* Chiplet smoke: the chiplet2x2-mc4 tiled-GEMM run (EXPERIMENTS.md's
    committed experiment) has no committed timing baseline yet, so the
    gate carries its entries as explicit skip rows — --check output shows
@@ -219,10 +146,8 @@ let chiplet_entries () =
     ] )
 
 let measure () =
-  let par, par_skipped = par_entries () in
   let chip, chip_skipped = chiplet_entries () in
-  ( smoke_entries () @ micro_entries () @ par @ chip,
-    par_skipped @ chip_skipped )
+  (smoke_entries () @ micro_entries () @ chip, chip_skipped)
 
 (* --- baseline I/O --- *)
 
@@ -231,21 +156,15 @@ let default_tolerance name =
   else if name = "smoke.engine_wall_s" then 1.6
   else if name = "smoke.minor_words_per_access" then 1.15
   else if name = "smoke.prepare_minor_words_per_access" then 1.15
-  else if min_floor_of name then 1.0
   else 1.5
-
-(* The committed speedup floor: never overwritten by --update (it is a
-   policy threshold, not a measurement). *)
-let default_floor _name = 1.5
 
 let entry_json e =
   Json.obj
-    ([
-       ("name", Json.String e.name);
-       ("value", Json.Float e.value);
-       ("tolerance", Json.Float e.tolerance);
-     ]
-    @ if e.min_floor then [ ("min", Json.Bool true) ] else [])
+    [
+      ("name", Json.String e.name);
+      ("value", Json.Float e.value);
+      ("tolerance", Json.Float e.tolerance);
+    ]
 
 let baseline_json entries = Json.obj [ ("entries", Json.list entry_json entries) ]
 
@@ -274,12 +193,7 @@ let parse_baseline path =
                    number (Json.member "tolerance" e) )
                with
                | Some (Json.String name), Some value, Some tolerance ->
-                 let min_floor =
-                   match Json.member "min" e with
-                   | Some (Json.Bool b) -> b
-                   | _ -> false
-                 in
-                 { name; value; tolerance; min_floor }
+                 { name; value; tolerance }
                | _ -> failwith "entry")
              es)
       with Failure _ -> Error (path ^ ": malformed entry"))
@@ -296,22 +210,12 @@ let write_json path doc =
 let run ~baseline_path ~update ~report_out () =
   let measured, skipped = measure () in
   if update then begin
-    (* min-floor ("par." prefixed) entries keep their committed policy value — and
-       stay in the baseline even when this host could not measure them —
-       so updating on a 1-core laptop never weakens the CI speedup gate *)
     let old =
       match parse_baseline baseline_path with Ok es -> es | Error _ -> []
     in
-    let committed name =
-      match List.find_opt (fun e -> e.name = name) old with
-      | Some e -> e.value
-      | None -> default_floor name
-    in
     let entry_of name value =
-      let min_floor = min_floor_of name in
       let value =
-        if min_floor then committed name
-        else if Float.is_nan value then
+        if Float.is_nan value then
           (* skipped on this host: keep the committed value (0 when the
              entry is new) — Float nan would encode as JSON null and
              break the next parse *)
@@ -320,7 +224,7 @@ let run ~baseline_path ~update ~report_out () =
           | None -> 0.
         else value
       in
-      { name; value; tolerance = default_tolerance name; min_floor }
+      { name; value; tolerance = default_tolerance name }
     in
     let entries =
       List.map (fun (name, value) -> entry_of name value) measured
@@ -348,12 +252,7 @@ let run ~baseline_path ~update ~report_out () =
               (* an unmeasured entry passes only when the measurement
                  explicitly skipped it (host cannot run it) *)
               (e, nan, List.mem_assoc e.name skipped)
-            | Some m ->
-              let ok =
-                if e.min_floor then m >= e.value
-                else m /. e.value <= e.tolerance
-              in
-              (e, m, ok))
+            | Some m -> (e, m, m /. e.value <= e.tolerance))
           entries
       in
       List.iter
@@ -365,8 +264,7 @@ let run ~baseline_path ~update ~report_out () =
           | None ->
             Printf.printf "  %-32s %14.2f %14.2f %6.2fx %6s\n" e.name e.value
               m (m /. e.value)
-              (if ok then if e.min_floor then "ok (floor)" else "ok"
-               else "REGRESSED"))
+              (if ok then "ok" else "REGRESSED"))
         rows;
       (match report_out with
       | None -> ()
@@ -391,7 +289,6 @@ let run ~baseline_path ~update ~report_out () =
                           ])
                       @ [
                           ("tolerance", Json.Float e.tolerance);
-                          ("min", Json.Bool e.min_floor);
                           ("ok", Json.Bool ok);
                         ]))
                   rows );

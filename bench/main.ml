@@ -8,7 +8,6 @@
      dune exec bench/main.exe -- --only fig16 # one section
      dune exec bench/main.exe -- --jobs 4     # sections in parallel workers
      dune exec bench/main.exe -- --micro      # Bechamel microbenchmarks
-     dune exec bench/main.exe -- --domains 4  # engine runs on 4 domains
      dune exec bench/main.exe -- --check bench/baseline.json
                                               # perf-regression gate (exit 2)
      dune exec bench/main.exe -- --check bench/baseline.json --update
@@ -741,18 +740,6 @@ let () =
       parse only json
         (Option.value (int_of_string_opt n) ~default:jobs)
         check check_out rest
-    | "--domains" :: n :: rest when not (is_flag n) ->
-      (match int_of_string_opt n with
-      | None ->
-        Printf.eprintf "bench: --domains expects an integer (got %S)\n" n;
-        exit 1
-      | Some d -> (
-        match Cli.check_domains ~available:Sim.Par_backend.available d with
-        | Error e ->
-          Printf.eprintf "bench: %s\n" e;
-          exit 1
-        | Ok () -> H.domains := d));
-      parse only json jobs check check_out rest
     | "--check" :: path :: rest when not (is_flag path) ->
       parse only json jobs (Some path) check_out rest
     | "--check-out" :: path :: rest when not (is_flag path) ->

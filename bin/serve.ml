@@ -60,13 +60,8 @@ let print_tenants fmt (run : Serve.Server.t) =
     run.Serve.Server.tenants;
   Format.fprintf fmt "@]"
 
-let run_cmd path smoke policy seed attr progress stats_json domains =
+let run_cmd path smoke policy seed attr progress stats_json =
   Cli.guard ~name:"serve" @@ fun () ->
-  match Cli.check_domains ~available:Sim.Par_backend.available domains with
-  | Error e ->
-    Printf.eprintf "serve: %s\n" e;
-    Cli.user_error
-  | Ok () -> (
   match Result.bind (load_scenario path smoke) (fun sc -> override sc policy seed)
   with
   | Error e ->
@@ -83,11 +78,7 @@ let run_cmd path smoke policy seed attr progress stats_json domains =
       prerr_endline ("serve: " ^ e);
       Cli.user_error
     | Ok sink -> (
-      let on_plan =
-        if domains > 1 then Some (fun s -> Format.printf "engine: %s@." s)
-        else None
-      in
-      let result = Serve.Server.run ~attr ~progress:sink ~domains ?on_plan sc in
+      let result = Serve.Server.run ~attr ~progress:sink sc in
       Obs.Progress.close sink;
       match result with
       | Error e ->
@@ -122,7 +113,7 @@ let run_cmd path smoke policy seed attr progress stats_json domains =
             Cli.ok
           with Sys_error e ->
             Printf.eprintf "serve: cannot write output: %s\n" e;
-            exit 1)))))
+            exit 1))))
 
 let scenario_arg =
   Arg.(
@@ -185,6 +176,6 @@ let cmd =
     (Cmd.info "serve" ~doc)
     Term.(
       const run_cmd $ scenario_arg $ smoke_arg $ policy_arg $ seed_arg
-      $ attr_arg $ progress_arg $ stats_json_arg $ Cli.domains)
+      $ attr_arg $ progress_arg $ stats_json_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -11,18 +11,13 @@ open Cmdliner
 
 let run name optimized platform l2 interleave policy mapping width height tpc
     optimal full_scale seed show_map dump_trace stats_json trace_out
-    trace_sample attr_on domains replicate =
+    trace_sample attr_on =
   Cli.guard ~name:"simulate" @@ fun () ->
   if trace_sample < 1 then (
     Printf.eprintf "simulate: --trace-sample must be at least 1 (got %d)\n"
       trace_sample;
     Cli.user_error)
   else
-  match Cli.check_domains ~available:Sim.Par_backend.available domains with
-  | Error e ->
-    Printf.eprintf "simulate: %s\n" e;
-    Cli.user_error
-  | Ok () -> (
   match Workloads.Suite.by_name name with
   | exception Not_found ->
     Printf.eprintf "simulate: unknown application %S (known: %s)\n" name
@@ -43,26 +38,16 @@ let run name optimized platform l2 interleave policy mapping width height tpc
       let profile a = Workloads.Profile.for_transform app analysis a in
       Format.printf "%s on %a@." app.Workloads.App.name Sim.Config.pp cfg;
       if show_map then print_string (Sim.Platform_map.render cfg);
-      let jobs =
-        if replicate then
-          Sim.Runner.prepare_replicas cfg ~optimized ~name
-            ~warmup_phases:app.Workloads.App.warmup_nests ~index_lookup
-            ?profile:(if optimized then Some profile else None)
+      let prepared =
+        if optimized then
+          Sim.Runner.prepare cfg ~optimized:true
+            ~warmup_phases:app.Workloads.App.warmup_nests ~index_lookup ~profile
             ~attr:attr_on program
-        else if optimized then
-          [
-            Sim.Runner.prepare cfg ~optimized:true
-              ~warmup_phases:app.Workloads.App.warmup_nests ~index_lookup
-              ~profile ~attr:attr_on program;
-          ]
         else
-          [
-            Sim.Runner.prepare cfg ~optimized:false
-              ~warmup_phases:app.Workloads.App.warmup_nests ~index_lookup
-              ~attr:attr_on program;
-          ]
+          Sim.Runner.prepare cfg ~optimized:false
+            ~warmup_phases:app.Workloads.App.warmup_nests ~index_lookup
+            ~attr:attr_on program
       in
-      let prepared = List.hd jobs in
       (match dump_trace with
       | Some path -> (
         try
@@ -90,11 +75,7 @@ let run name optimized platform l2 interleave policy mapping width height tpc
       let attr =
         if attr_on then Some (Sim.Runner.attr_for cfg prepared) else None
       in
-      let on_plan =
-        if domains > 1 then Some (fun s -> Format.printf "engine: %s@." s)
-        else None
-      in
-      let r = Sim.Runner.run_many ~trace ?attr ~domains ?on_plan cfg ~jobs in
+      let r = Sim.Runner.run_many ~trace ?attr cfg ~jobs:[ prepared ] in
       (try
          (match trace_out with
          | Some path ->
@@ -129,7 +110,7 @@ let run name optimized platform l2 interleave policy mapping width height tpc
       Format.printf "@.row-buffer hit rate:";
       Array.iter (fun o -> Format.printf " %.2f" o) r.Sim.Engine.mc_row_hit_rate;
       Format.printf "@.";
-      Cli.ok))
+      Cli.ok)
 
 let name_arg =
   Arg.(
@@ -211,16 +192,6 @@ let attr_arg =
            heatmap sections to --stats-json and site tags to \
            --dump-trace.")
 
-let replicate_arg =
-  Arg.(
-    value & flag
-    & info [ "replicate" ]
-        ~doc:
-          "Run one confined copy of the application per cluster (disjoint \
-           virtual slices, threads bound inside the cluster) instead of one \
-           whole-machine job — the decomposable workload the parallel \
-           engine (--domains) actually speeds up.")
-
 let cmd =
   let doc = "simulate an application on the NoC manycore platform" in
   Cmd.v
@@ -229,6 +200,6 @@ let cmd =
       const run $ name_arg $ optimized $ Cli.platform $ Cli.l2 $ Cli.interleave
       $ Cli.policy $ Cli.mapping $ Cli.width $ Cli.height $ tpc $ optimal
       $ full_scale $ seed $ show_map $ dump_trace $ stats_json $ trace_out
-      $ trace_sample $ attr_arg $ Cli.domains $ replicate_arg)
+      $ trace_sample $ attr_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -140,6 +140,10 @@ let holders d ~line =
     !acc
   end
 
+let holder_word d ~line ~word =
+  let i = find d line in
+  if i < 0 then 0 else d.slots.((3 * i) + 1 + word)
+
 (* Walks the set bits of both words in ascending node order, skipping
    zero bytes, and keeps the first minimum of [distance]. *)
 let closest_holder d ~line ~excluding ~distance () =

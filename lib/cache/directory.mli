@@ -27,6 +27,15 @@ val remove_holder : t -> line:int -> node:int -> unit
 val holders : t -> line:int -> int list
 (** Nodes currently holding the line, ascending. *)
 
+val bits_per_word : int
+(** Nodes per holder word. *)
+
+val holder_word : t -> line:int -> word:int -> int
+(** Word [word] (0 or 1) of the line's holder set, [0] when no L2 holds
+    the line: bit [b] set means node [word * bits_per_word + b] holds it.
+    Reading both words gives a snapshot of {!holders} that later
+    removals do not change, without building a list. *)
+
 val closest_holder :
   t -> line:int -> excluding:int -> distance:(int -> int) -> unit -> int
 (** The holder minimizing [distance] (e.g. hops from the requester; the

@@ -296,10 +296,6 @@ let occupancy t ~at =
   occ_touch t at;
   if at <= 0 then 0. else float_of_int t.occ_integral /. float_of_int at
 
-let occ_integral_at t ~at =
-  occ_touch t at;
-  float_of_int t.occ_integral
-
 let reset t =
   Array.fill t.open_row 0 t.banks (-1);
   Array.fill t.bank_free 0 t.banks 0;

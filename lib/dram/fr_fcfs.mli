@@ -86,10 +86,4 @@ val occupancy : t -> at:int -> float
 (** Time-averaged number of queued requests over [0, at] — the bank-queue
     utilization metric of Fig. 18. *)
 
-val occ_integral_at : t -> at:int -> float
-(** Raw queue-length integral ∫depth·dt advanced to cycle [at] —
-    [occupancy] is this divided by [at].  The parallel engine carries the
-    integral so a partition's occupancy can be re-based onto the merged
-    run's global horizon without a lossy double division. *)
-
 val reset : t -> unit

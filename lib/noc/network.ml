@@ -160,8 +160,6 @@ let reset net =
 
 let total_link_busy net = net.busy
 
-let link_busy net = Array.copy net.link_busy
-
 let utilization net ~at =
   let at = max 1 at in
   Array.map (fun b -> float_of_int b /. float_of_int at) net.link_busy

@@ -70,9 +70,6 @@ val total_link_busy : t -> int
 (** Sum over links of cycles reserved so far — a load indicator used by
     utilization statistics. *)
 
-val link_busy : t -> int array
-(** Per-link-id cycles reserved so far (a copy). *)
-
 val utilization : t -> at:int -> float array
 (** Per-link fraction of [0, at] the link was reserved — the per-link
     utilization profile behind the paper's contention analysis. *)

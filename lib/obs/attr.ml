@@ -44,9 +44,6 @@ let create ~sites ~mcs ~banks ~max_hops =
     t_total = 0;
   }
 
-let create_like t =
-  create ~sites:t.t_sites ~mcs:t.t_mcs ~banks:t.t_banks ~max_hops:t.t_max_hops
-
 (* out-of-range site ids (untagged streams, foreign refs) clamp into the
    trailing unknown row so the cube total stays exhaustive *)
 let row t site =
@@ -111,24 +108,6 @@ let merge a b =
         queue_sum = add a.queue_sum b.queue_sum;
         queue_total = add a.queue_total b.queue_total;
       }
-
-let absorb t (s : snapshot) =
-  if
-    t.t_mcs <> s.mcs || t.t_banks <> s.banks || t.t_max_hops <> s.max_hops
-    || Array.length t.t_sites <> Array.length s.sites
-  then Error "Attr.absorb: platform or site-table shapes differ"
-  else if not (Array.for_all2 site_equal t.t_sites s.sites) then
-    Error "Attr.absorb: site tables differ"
-  else begin
-    let add dst src = Array.iteri (fun i v -> dst.(i) <- dst.(i) + v) src in
-    add t.t_counts s.counts;
-    add t.t_hops s.hops;
-    add t.t_queue_counts s.queue_counts;
-    add t.t_queue_sum s.queue_sum;
-    add t.t_queue_total s.queue_total;
-    t.t_total <- t.t_total + Array.fold_left ( + ) 0 s.counts;
-    Ok ()
-  end
 
 (* ---- snapshot readers ---- *)
 

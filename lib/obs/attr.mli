@@ -63,14 +63,6 @@ val snapshot : t -> snapshot
 val merge : snapshot -> snapshot -> (snapshot, string) result
 (** Element-wise sum.  [Error] when shapes or site tables differ. *)
 
-val create_like : t -> t
-(** A fresh all-zero cube with the same site table and platform shape —
-    each partition of a parallel run records into its own clone. *)
-
-val absorb : t -> snapshot -> (unit, string) result
-(** Adds [snapshot] into the live cube in place ({!merge}'s sum, without
-    leaving [t]'s identity — callers holding [t] see the combined run). *)
-
 (** {2 Snapshot readers} *)
 
 val snap_total : snapshot -> int

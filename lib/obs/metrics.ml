@@ -181,25 +181,6 @@ let merge a b =
     histograms = merge_assoc merge_hist a.histograms b.histograms;
   }
 
-let merge_into ~into src =
-  Hashtbl.iter
-    (fun name -> function
-      | Counter c -> add (counter into name) c.c_value
-      | Gauge g -> set_max (gauge into name) g.g_value
-      | Histogram h -> (
-        (* merge_into keeps its documented raise: a bucketing conflict
-           between two live registries is a programming error, not an
-           input error *)
-        match histogram into ~buckets:h.h_kind name with
-        | Error e -> invalid_arg e
-        | Ok dst ->
-          Array.iteri
-            (fun i v -> dst.h_counts.(i) <- dst.h_counts.(i) + v)
-            h.h_counts;
-          dst.h_sum <- dst.h_sum + h.h_sum;
-          dst.h_total <- dst.h_total + h.h_total))
-    src.tbl
-
 let hist_to_json (h : hist_snapshot) =
   (* trim trailing empty buckets so the export stays compact *)
   let last = ref (-1) in

@@ -86,10 +86,6 @@ val merge : snapshot -> snapshot -> snapshot
     on one side only pass through.  Raises [Invalid_argument] on
     incompatible histogram bucketing. *)
 
-val merge_into : into:registry -> registry -> unit
-(** Folds a source registry into [into] with {!merge} semantics,
-    registering missing metrics on the fly. *)
-
 val to_json : snapshot -> Json.t
 
 val snapshot_of_json : Json.t -> (snapshot, string) result

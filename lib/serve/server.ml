@@ -1,7 +1,6 @@
 module Json = Obs.Json
 module Config = Sim.Config
 module Engine = Sim.Engine
-module Par_engine = Sim.Par_engine
 module Runner = Sim.Runner
 
 (* each tenant owns one 256 MB virtual-address slice; slices never
@@ -186,8 +185,7 @@ let percentile sorted n k =
   let rank = ((k * n) + 99) / 100 in
   List.nth sorted (max 0 (rank - 1))
 
-let run ?(attr = false) ?(progress = Obs.Progress.null) ?(domains = 1) ?on_plan
-    (sc : Scenario.t) =
+let run ?(attr = false) ?(progress = Obs.Progress.null) (sc : Scenario.t) =
   let ( let* ) = Result.bind in
   let* sc = Scenario.validate sc in
   let* cfg = Scenario.config sc in
@@ -262,14 +260,9 @@ let run ?(attr = false) ?(progress = Obs.Progress.null) ?(domains = 1) ?on_plan
         })
       (List.combine plan preps) site_bases
   in
-  (* the co-run is the hot loop; tenants whose slots share no cluster
-     decompose by partition (first-touch scenarios with cluster-sized
-     tenants), everything else falls back sequentially — byte-identical
-     either way.  Solo calibration runs below stay sequential. *)
   let r =
-    Par_engine.run cfg
-      ~desired_mc_of_vpage:(Runner.combined_hints preps)
-      ?attr:cube ?on_plan ~domains ~jobs ()
+    Engine.run cfg ~desired_mc_of_vpage:(Runner.combined_hints preps)
+      ?attr:cube ~jobs ()
   in
   let solo = solo_time cfg ~sc in
   let tenants =

@@ -55,18 +55,10 @@ type t = {
 val run :
   ?attr:bool ->
   ?progress:Obs.Progress.sink ->
-  ?domains:int ->
-  ?on_plan:(string -> unit) ->
   Scenario.t ->
   (t, string) result
 (** Runs the scenario.  [attr] (default false) additionally attributes
     every measured off-chip access to the owning tenant's access sites.
-    [domains] (default 1) runs the co-scheduled engine pass through
-    {!Sim.Par_engine} — byte-identical results for every value; a
-    first-touch scenario whose tenants are cluster-confined
-    (threads_per_tenant ≤ a cluster's threads) actually parallelizes,
-    anything else falls back with the reason passed to [on_plan].  The
-    per-tenant solo calibration runs stay sequential.
     [progress] receives tenant lifecycle events ([tenant_arrive],
     [tenant_start], [tenant_finish], then [serve_done]) in simulated-time
     order. *)

@@ -42,12 +42,7 @@ type result = {
   mc_occupancy : float array;
   mc_row_hit_rate : float array;
   mc_max_queue : int array;
-  mc_occ_integral : float array;
-      (** raw per-controller queue-length integrals behind [mc_occupancy];
-          the parallel merger re-divides them by the global horizon *)
   link_utilization : float array;
-  link_busy : int array;
-      (** raw per-link busy cycles behind [link_utilization] *)
   pages_allocated : int;
 }
 
@@ -731,18 +726,34 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
       log_leg ~measured:req.measured ~offchip:false req.pend_hops req.pend_net;
       if req.measured then Stats.record_l2_hit stats;
       (* a write transfer invalidates every other copy (coherence
-         traffic, charged on the links but not waited for) *)
-      if req.rwrite then
-        List.iter
-          (fun holder ->
-            if holder <> req.rnode && holder <> h then begin
-              Directory.remove_holder dir ~line ~node:holder;
-              ignore (Sacache.invalidate l2.(holder) ~addr:req.rpaddr);
-              ignore
-                (send ~now:t ~src:(mc_node req.mc) ~dst:holder
-                   ~bytes:ctrl_bytes)
-            end)
-          (Directory.holders dir ~line);
+         traffic, charged on the links but not waited for), in ascending
+         node order over the holder set as it stood before any removal *)
+      if req.rwrite then begin
+        let w0 = Directory.holder_word dir ~line ~word:0
+        and w1 = Directory.holder_word dir ~line ~word:1 in
+        for word = 0 to 1 do
+          let w = ref (if word = 0 then w0 else w1) in
+          let holder = ref (word * Directory.bits_per_word) in
+          while !w <> 0 do
+            if !w land 0xff = 0 then begin
+              w := !w lsr 8;
+              holder := !holder + 8
+            end
+            else begin
+              if !w land 1 <> 0 && !holder <> req.rnode && !holder <> h
+              then begin
+                Directory.remove_holder dir ~line ~node:!holder;
+                ignore (Sacache.invalidate l2.(!holder) ~addr:req.rpaddr);
+                ignore
+                  (send ~now:t ~src:(mc_node req.mc) ~dst:!holder
+                     ~bytes:ctrl_bytes)
+              end;
+              w := !w lsr 1;
+              incr holder
+            end
+          done
+        done
+      end;
       let src = mc_node req.mc in
       let arr = send_req req ~now:t ~src ~dst:h ~bytes:ctrl_bytes in
       log_leg ~measured:req.measured ~offchip:false (hops_between src h)
@@ -873,8 +884,6 @@ let run (cfg : Config.t) ?desired_mc_of_vpage ?(trace = Obs.Trace.disabled)
           else float_of_int (Fr_fcfs.row_hits m) /. float_of_int s)
         mcs;
     mc_max_queue = Array.map Fr_fcfs.max_pending mcs;
-    mc_occ_integral = Array.map (fun m -> Fr_fcfs.occ_integral_at m ~at:horizon) mcs;
     link_utilization;
-    link_busy = Noc.Network.link_busy net;
     pages_allocated = Page_alloc.pages_allocated pa;
   }

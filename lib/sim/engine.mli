@@ -65,16 +65,8 @@ type result = {
   mc_occupancy : float array;  (** per-controller mean queue length *)
   mc_row_hit_rate : float array;
   mc_max_queue : int array;  (** per-controller queue-depth high-water mark *)
-  mc_occ_integral : float array;
-      (** raw per-controller queue-length integrals (∫depth·dt) behind
-          [mc_occupancy] — {!Par_engine} re-divides them by the merged
-          run's global horizon so partition occupancies land on the same
-          denominator as a sequential run *)
   link_utilization : float array;
       (** per-link-id busy fraction of the run (mesh contention profile) *)
-  link_busy : int array;
-      (** raw per-link busy cycles behind [link_utilization], summable
-          across partitions whose link sets are disjoint *)
   pages_allocated : int;
 }
 

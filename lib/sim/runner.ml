@@ -151,56 +151,11 @@ let attr_for (cfg : Config.t) p =
   Obs.Attr.create ~sites ~mcs:num_mcs ~banks:(Config.banks_per_mc cfg)
     ~max_hops:Stats.max_hops
 
-(* rebind a prepared job's threads onto one cluster's cores (ascending
-   node ids, threads-per-core consecutive) so replicated jobs become
-   partition-confined for the parallel engine *)
-let confine cfg ~cluster:c p =
-  let cl = Config.cluster cfg and topo = Config.topo cfg in
-  let nodes =
-    Array.of_list
-      (List.filter
-         (fun n -> Core.Cluster.cluster_of_node cl topo n = c)
-         (List.init (Noc.Topology.nodes topo) Fun.id))
-  in
-  let tpc = max 1 cfg.Config.threads_per_core in
-  let node_of_thread =
-    Array.init
-      (Array.length p.job.Engine.node_of_thread)
-      (fun t -> nodes.(t / tpc mod Array.length nodes))
-  in
-  { p with job = { p.job with Engine.node_of_thread } }
-
-(* one confined copy of the program per cluster: the canonical
-   embarrassingly-decomposable workload the parallel engine speeds up
-   (bench smoke, oracle tests, simulate --replicate) *)
-let prepare_replicas cfg ~optimized ?threads ?name ?(warmup_phases = 0)
-    ?index_lookup ?profile ?(attr = false) program =
-  let cl = Config.cluster cfg in
-  let nclusters = Core.Cluster.num_clusters cl in
-  let threads =
-    match threads with
-    | Some t -> t
-    | None -> Core.Cluster.cores_per_cluster cl * max 1 cfg.Config.threads_per_core
-  in
-  let slice = 256 * 1024 * 1024 in
-  let base = Option.value name ~default:"job" in
-  List.init nclusters (fun c ->
-      let p =
-        prepare cfg ~optimized ~threads ~vaddr_base:(c * slice)
-          ~name:(Printf.sprintf "%s@%d" base c) ~warmup_phases ?index_lookup
-          ?profile ~attr program
-      in
-      confine cfg ~cluster:c p)
-
-let run cfg ~optimized ?warmup_phases ?index_lookup ?profile ?trace
-    ?(domains = 1) ?on_plan program =
+let run cfg ~optimized ?warmup_phases ?index_lookup ?profile ?trace program =
   let p = prepare cfg ~optimized ?warmup_phases ?index_lookup ?profile program in
-  Par_engine.run cfg ~desired_mc_of_vpage:p.desired_mc ?trace ?on_plan ~domains
-    ~jobs:[ p.job ] ()
+  Engine.run cfg ~desired_mc_of_vpage:p.desired_mc ?trace ~jobs:[ p.job ] ()
 
-let run_many ?trace ?attr ?(domains = 1) ?on_plan cfg ~jobs =
-  Par_engine.run cfg
-    ~desired_mc_of_vpage:(combined_hints jobs)
-    ?trace ?attr ?on_plan ~domains
+let run_many ?trace ?attr cfg ~jobs =
+  Engine.run cfg ~desired_mc_of_vpage:(combined_hints jobs) ?trace ?attr
     ~jobs:(List.map (fun p -> p.job) jobs)
     ()

@@ -52,29 +52,6 @@ val attr_for : Config.t -> prepared -> Obs.Attr.t
     as [~attr].  Aggregators of separate runs compose with
     {!Obs.Attr.merge} when their site tables match. *)
 
-val confine : Config.t -> cluster:int -> prepared -> prepared
-(** Rebind the prepared job's threads onto the cores of one cluster
-    (ascending node ids, threads-per-core consecutive), so replicated
-    jobs become partition-confined for {!Par_engine}.  With more threads
-    than cluster cores × threads-per-core, the binding wraps. *)
-
-val prepare_replicas :
-  Config.t ->
-  optimized:bool ->
-  ?threads:int ->
-  ?name:string ->
-  ?warmup_phases:int ->
-  ?index_lookup:(string -> int array -> int) ->
-  ?profile:(string -> (Affine.Vec.t * Affine.Vec.t) list) ->
-  ?attr:bool ->
-  Lang.Ast.program ->
-  prepared list
-(** One {!confine}d copy of the program per cluster, on disjoint 256 MB
-    virtual slices — the canonical decomposable workload: under page
-    interleaving with the first-touch policy, {!Par_engine.plan} proves
-    it parallel.  [threads] defaults to one cluster's cores ×
-    threads-per-core. *)
-
 val run :
   Config.t ->
   optimized:bool ->
@@ -82,21 +59,14 @@ val run :
   ?index_lookup:(string -> int array -> int) ->
   ?profile:(string -> (Affine.Vec.t * Affine.Vec.t) list) ->
   ?trace:Obs.Trace.t ->
-  ?domains:int ->
-  ?on_plan:(string -> unit) ->
   Lang.Ast.program ->
   Engine.result
 (** Prepare + simulate one program alone on the whole machine.  [trace]
-    is handed to {!Engine.run} (request-path spans; default disabled).
-    [domains] (default 1) routes through {!Par_engine.run} — the result
-    is byte-identical for every value; [on_plan] receives its one-line
-    plan description. *)
+    is handed to {!Engine.run} (request-path spans; default disabled). *)
 
 val run_many :
   ?trace:Obs.Trace.t ->
   ?attr:Obs.Attr.t ->
-  ?domains:int ->
-  ?on_plan:(string -> unit) ->
   Config.t ->
   jobs:prepared list ->
   Engine.result

@@ -168,29 +168,7 @@ let hop_cdf h =
   assert (Array.length cdf = 0 || cdf.(Array.length cdf - 1) = 1.);
   cdf
 
-(* ---- aggregation and export ---- *)
-
-let merge a b =
-  let nodes = Array.length a.node_mc_requests
-  and mcs =
-    if Array.length a.node_mc_requests = 0 then 0
-    else Array.length a.node_mc_requests.(0)
-  in
-  if
-    nodes <> Array.length b.node_mc_requests
-    || (nodes > 0 && mcs <> Array.length b.node_mc_requests.(0))
-  then invalid_arg "Stats.merge: platform shapes differ";
-  let t = create ~nodes ~mcs in
-  M.merge_into ~into:t.reg a.reg;
-  M.merge_into ~into:t.reg b.reg;
-  let add_arr dst src = Array.iteri (fun i v -> dst.(i) <- dst.(i) + v) src in
-  add_arr t.onchip_hops a.onchip_hops;
-  add_arr t.onchip_hops b.onchip_hops;
-  add_arr t.offchip_hops a.offchip_hops;
-  add_arr t.offchip_hops b.offchip_hops;
-  Array.iteri (fun n row -> add_arr t.node_mc_requests.(n) row) a.node_mc_requests;
-  Array.iteri (fun n row -> add_arr t.node_mc_requests.(n) row) b.node_mc_requests;
-  t
+(* ---- export ---- *)
 
 let snapshot t = M.snapshot t.reg
 

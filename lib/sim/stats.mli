@@ -106,12 +106,7 @@ val hop_cdf : int array -> float array
 (** [hop_cdf h].(x) = fraction of messages traversing ≤ x links.  The
     result is monotone nondecreasing and ends at 1 (asserted). *)
 
-(** {2 Aggregation and export} *)
-
-val merge : t -> t -> t
-(** Element-wise combination for multiprogrammed aggregation: counters and
-    histograms add, finish time is the max.  The operands must come from
-    platforms of the same shape (nodes × controllers). *)
+(** {2 Export} *)
 
 val snapshot : t -> Obs.Metrics.snapshot
 

@@ -264,7 +264,18 @@ let prop_directory_membership =
           (-1) nodes
       in
       let distance n = dist.(n) in
+      (* the holder words' set bits, ascending, are the holder list *)
+      let from_words =
+        List.filter
+          (fun n ->
+            let w = n / Directory.bits_per_word in
+            Directory.holder_word d ~line:1 ~word:w
+            land (1 lsl (n mod Directory.bits_per_word))
+            <> 0)
+          (List.init (2 * Directory.bits_per_word) Fun.id)
+      in
       Directory.holders d ~line:1 = want
+      && from_words = Directory.holders d ~line:1
       && Directory.closest_holder d ~line:1 ~excluding:(-1) ~distance () = first_min want
       && Directory.closest_holder d ~line:1 ~excluding ~distance ()
          = first_min (List.filter (( <> ) excluding) want))

@@ -285,37 +285,6 @@ let test_phase_timer () =
 
 (* --- Sim.Stats on top of the registry --- *)
 
-let test_stats_merge () =
-  let a = Stats.create ~nodes:4 ~mcs:2 and b = Stats.create ~nodes:4 ~mcs:2 in
-  Stats.record_access a;
-  Stats.record_access a;
-  Stats.record_access b;
-  Stats.record_l1_hit a;
-  Stats.record_offchip a ~origin:1 ~mc:0;
-  Stats.record_offchip b ~origin:1 ~mc:1;
-  Stats.record_leg a ~offchip:true ~hops:3 ~cycles:12;
-  Stats.record_leg b ~offchip:true ~hops:(Stats.max_hops + 5) ~cycles:7;
-  Stats.record_memory a ~latency:100 ~queue:40 ~row_hit:true;
-  Stats.note_finish a 500;
-  Stats.note_finish b 900;
-  let m = Stats.merge a b in
-  Alcotest.(check int) "accesses add" 3 (Stats.total_accesses m);
-  Alcotest.(check int) "l1 hits add" 1 (Stats.l1_hits m);
-  Alcotest.(check int) "offchip adds" 2 (Stats.offchip_accesses m);
-  Alcotest.(check int) "net cycles add" 19 (Stats.offchip_net_cycles m);
-  Alcotest.(check int) "messages add" 2 (Stats.offchip_messages m);
-  Alcotest.(check int) "memory cycles" 100 (Stats.memory_cycles m);
-  Alcotest.(check int) "row hits" 1 (Stats.row_hits m);
-  Alcotest.(check int) "finish is max" 900 (Stats.finish_time m);
-  Alcotest.(check int) "hop histogram adds" 1 (Stats.offchip_hops m).(3);
-  Alcotest.(check int) "node x mc map adds" 1 (Stats.node_mc_requests m).(1).(0);
-  Alcotest.(check int) "node x mc map adds b" 1
-    (Stats.node_mc_requests m).(1).(1);
-  (try
-     ignore (Stats.merge a (Stats.create ~nodes:2 ~mcs:2));
-     Alcotest.fail "shape mismatch accepted"
-   with Invalid_argument _ -> ())
-
 let test_hop_clamp () =
   (* routes longer than max_hops land in the last bucket instead of
      silently vanishing, and the CDF still reaches 1 *)
@@ -432,7 +401,6 @@ let suite =
         Alcotest.test_case "trace sampling" `Quick test_trace_sampling;
         Alcotest.test_case "trace json" `Quick test_trace_json;
         Alcotest.test_case "phase timer" `Quick test_phase_timer;
-        Alcotest.test_case "stats merge" `Quick test_stats_merge;
         Alcotest.test_case "hop clamp" `Quick test_hop_clamp;
         Alcotest.test_case "stats json" `Quick test_stats_json;
         Alcotest.test_case "golden 2x2 trace" `Quick test_golden_trace;

@@ -79,7 +79,19 @@ let test_spec_search_knob () =
          "configs":[{"name":"s","platform":"mesh8x8-mc8"}]}|}
   in
   Alcotest.(check bool) "distinct cache identity from the preset" false
-    (String.equal (identity job) (identity preset.Sweep.Spec.jobs.(0)))
+    (String.equal (identity job) (identity preset.Sweep.Spec.jobs.(0)));
+  (* an unknown top-level key is an error naming it, not a silent no-op *)
+  match
+    Result.bind
+      (Json.of_string
+         {|{"name":"stale","apps":["apsi"],"domains":2,
+            "configs":[{"name":"s","platform":"mesh8x8-mc8"}]}|})
+      Sweep.Spec.of_json
+  with
+  | Ok _ -> Alcotest.fail "spec with \"domains\" accepted"
+  | Error e ->
+    Alcotest.(check string)
+      "names the field" "unknown spec field \"domains\"" e
 
 (* ---- pool ---- *)
 
